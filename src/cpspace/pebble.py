@@ -21,7 +21,6 @@ a bounded game is weaker than winning, so that is the word used).
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 
 from .hf import ObjId, Universe
@@ -33,6 +32,7 @@ from .symmetry import (
     form_apply,
     form_key,
     form_of,
+    resolve_budget,
 )
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -45,12 +45,6 @@ class PebbleError(Exception):
 class NoExtension(PebbleError):
     """The duplicator found no molecule with the required atom pattern,
     or the transported object is missing; the structure is too small."""
-
-
-def _node_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get("CPS_BUDGET", DEFAULT_NODE_BUDGET))
 
 
 # -- structures ----------------------------------------------------------------
@@ -343,7 +337,7 @@ def verify_duplicator(
     _compatible(a, b)
     if m < 1 or depth < 0:
         raise PebbleError("need at least one pebble and a non-negative depth")
-    cap = _node_budget(node_budget)
+    cap = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
     pins = pin_pairs(a, b)
     nodes = 0
     seen: set = set()
@@ -456,7 +450,7 @@ def solve_game(
     _compatible(a, b)
     if m < 1 or depth < 0:
         raise PebbleError("need at least one pebble and a non-negative depth")
-    cap = _node_budget(node_budget)
+    cap = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
     board_a, board_b = _Board(a), _Board(b)
     if board_a.one is None or board_b.one is None:
         raise PebbleError("game structures must contain 0 and 1")

@@ -42,7 +42,7 @@ from cpspace.machine import (
     eval_term,
     make_input,
 )
-from cpspace.monitor import PSpaceMachine, RunTrace, run
+from cpspace.monitor import PSpaceMachine, RunOutcome, RunTrace, run
 from cpspace.syntax import (
     Apply,
     Assign,
@@ -866,11 +866,17 @@ def decide(
     inp: InputStructure,
     max_stages: int = 10_000,
 ) -> tuple[str, StageResult, RunTrace]:
-    """Space-bounded run, then the induction over its active objects."""
+    """Space-bounded run, then the induction over its active objects.
+
+    A run cut off at its space bound leaves the induction a truncated
+    domain, so its verdict is unknown whatever the stages reach.
+    """
     trace = run(machine, inp)
     universe = trace.final_state.universe
     objects = sorted(trace.active_union())
     result = iterate_stages(machine.program, inp, objects, universe, max_stages)
+    if trace.outcome is RunOutcome.SPACE_EXCEEDED:
+        return "unknown", result, trace
     return result.verdict(universe), result, trace
 
 

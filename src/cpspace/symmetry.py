@@ -69,10 +69,11 @@ class InputDependence(SymmetryError):
         self.witness = witness
 
 
-def resolve_budget(budget: int | None) -> int:
+def resolve_budget(budget: int | None, default: int = DEFAULT_BUDGET) -> int:
+    """An explicit budget wins, then CPS_BUDGET, then the caller's default."""
     if budget is not None:
         return budget
-    return int(os.environ.get("CPS_BUDGET", DEFAULT_BUDGET))
+    return int(os.environ.get("CPS_BUDGET", default))
 
 
 # -- supports ---------------------------------------------------------------
@@ -92,6 +93,15 @@ def is_support(u: Universe, support, obj: ObjId) -> bool:
     return True
 
 
+def _first_support(u: Universe, obj: ObjId, max_size: int) -> frozenset[AtomId] | None:
+    """Smallest, then lexicographically first, support of size <= max_size."""
+    for size in range(max_size + 1):
+        for cand in itertools.combinations(range(u.n_atoms), size):
+            if is_support(u, cand, obj):
+                return frozenset(cand)
+    return None
+
+
 def min_support(u: Universe, obj: ObjId) -> frozenset[AtomId]:
     """The unique minimal support, defined when a support of size < n/2 exists.
 
@@ -102,25 +112,11 @@ def min_support(u: Universe, obj: ObjId) -> frozenset[AtomId]:
     small support to contain the smallest one.
     """
     memo = u.caches.setdefault("min_support", {})
-    if obj in memo:
-        got = memo[obj]
-        if got is None:
-            raise NoSmallSupport(obj, u.n_atoms)
-        return got
-    n = u.n_atoms
-    found = None
-    for size in range((n + 1) // 2):  # all sizes < n/2
-        for cand in itertools.combinations(range(n), size):
-            if is_support(u, cand, obj):
-                found = frozenset(cand)
-                break
-        if found is not None:
-            break
-    if found is not None and not is_support(u, found, obj):
-        raise SymmetryError("support intersection failed verification")
-    memo[obj] = found
+    if obj not in memo:
+        memo[obj] = _first_support(u, obj, (u.n_atoms - 1) // 2)  # sizes < n/2
+    found = memo[obj]
     if found is None:
-        raise NoSmallSupport(obj, n)
+        raise NoSmallSupport(obj, u.n_atoms)
     return found
 
 
@@ -131,18 +127,9 @@ def support_within(u: Universe, obj: ObjId, k: int) -> frozenset[AtomId] | None:
     then a deterministic choice among possibly incomparable supports.
     """
     memo = u.caches.setdefault(("support_within", k), {})
-    if obj in memo:
-        return memo[obj]
-    found = None
-    for size in range(min(k, u.n_atoms) + 1):
-        for cand in itertools.combinations(range(u.n_atoms), size):
-            if is_support(u, cand, obj):
-                found = frozenset(cand)
-                break
-        if found is not None:
-            break
-    memo[obj] = found
-    return found
+    if obj not in memo:
+        memo[obj] = _first_support(u, obj, min(k, u.n_atoms))
+    return memo[obj]
 
 
 @dataclass
@@ -270,6 +257,10 @@ class Config:
     molecule the atoms are distinct, so a block never holds two cells
     of the same row.  Blocks are canonical: sorted internally and by
     their smallest cell.
+
+    `conf` interns configurations: every request for one equality
+    pattern gets the same object, which `make_config` builds and
+    validates once.
     """
 
     ell: int
@@ -312,21 +303,40 @@ def make_config(ell: int, k: int, blocks) -> Config:
     return Config(ell, k, tuple(canon))
 
 
+# Interned configurations, keyed by the molecules with their atoms
+# renamed by first occurrence.  Holds one entry per configuration of
+# ell k-molecules asked for so far, whatever the atom count.  Shared by
+# the whole process: an entry is immutable and depends on its key alone.
+_CONFIGS: dict[tuple[Molecule, ...], Config] = {}
+
+
 def conf(molecules) -> Config:
-    """The configuration induced by atom equality across the molecules."""
+    """The configuration induced by atom equality across the molecules.
+
+    Interned: molecules with the same equality pattern get the same
+    Config object, built by `make_config` on the first request.
+    """
     mols = [tuple(m) for m in molecules]
     if not mols:
         raise SymmetryError("conf needs at least one molecule")
     k = len(mols[0])
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, m in enumerate(mols):
+    names: dict[AtomId, int] = {}
+    key = []
+    for m in mols:
         if len(m) != k:
             raise SymmetryError("molecules must share one length")
         if len(set(m)) != k:
             raise SymmetryError(f"molecule atoms must be distinct: {m}")
-        for p, atom in enumerate(m):
-            groups.setdefault(atom, []).append((i, p))
-    return make_config(len(mols), k, groups.values())
+        key.append(tuple([names.setdefault(atom, len(names)) for atom in m]))
+    key = tuple(key)
+    got = _CONFIGS.get(key)
+    if got is None:
+        groups: list[list[tuple[int, int]]] = [[] for _ in names]
+        for i, m in enumerate(key):
+            for p, name in enumerate(m):
+                groups[name].append((i, p))
+        got = _CONFIGS[key] = make_config(len(key), k, groups)
+    return got
 
 
 def realize_config(config: Config, u: Universe) -> tuple[Molecule, ...]:
@@ -614,10 +624,14 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
             if supp is None:
                 raise NotKSymmetric(y, k)
             sigma = padded_molecule(u, supp, k)
+            configs: dict[Molecule, Config] = {}  # one conf per child molecule
             pairs = []
             for e in u.elements(y):
                 child, child_sigma = go(e)
-                pairs.append((child, conf((child_sigma, sigma))))
+                config = configs.get(child_sigma)
+                if config is None:
+                    config = configs[child_sigma] = conf((child_sigma, sigma))
+                pairs.append((child, config))
             phi = mk_node(pairs)
         memo[y] = (phi, sigma)
         return phi, sigma

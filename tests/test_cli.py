@@ -200,6 +200,12 @@ class TestPfp:
         assert code == 3
         assert out.startswith("verdict unknown status=cycled")
 
+    def test_eval_space_exceeded_run_is_unknown(self, capsys):
+        code, out, _ = cli(capsys, "pfp", "eval", FIXTURES / "pairs.machine",
+                           "--naked-set", 2, "--no-meta")
+        assert code == 3
+        assert out.startswith("verdict unknown status=fixed stages=3 run=space-exceeded")
+
     def test_lockstep_reports_identical_stages(self, capsys):
         code, out, _ = cli(capsys, "pfp", "lockstep", FIXTURES / "mark_all.machine",
                            "--input", FIXTURES / "edges.input", "--no-meta")

@@ -217,6 +217,16 @@ class TestVerifyDuplicator:
         with pytest.raises(BudgetExceeded):
             verify_duplicator(s, s, 2, 2, node_budget=10)
 
+    def test_budget_env_override(self, monkeypatch):
+        # CPS_BUDGET replaces the node default; an explicit budget still wins
+        s = struct(3, 1, 1)
+        monkeypatch.setenv("CPS_BUDGET", "10")
+        with pytest.raises(BudgetExceeded):
+            verify_duplicator(s, s, 2, 2)
+        with pytest.raises(BudgetExceeded):
+            solve_game(s, s, 2, 3)
+        assert verify_duplicator(s, s, 2, 2, node_budget=10**6).survived
+
     def test_parameter_validation(self):
         s = struct(3, 1, 1)
         with pytest.raises(PebbleError):

@@ -319,6 +319,16 @@ class TestStageIteration:
         ok, _ = lockstep_prefix(result, trace)
         assert ok
 
+    def test_space_exceeded_run_is_unknown(self):
+        # the stages reach Halt = Output = 1 over the truncated domain,
+        # but the run was cut off, so the induction cannot decide
+        machine = load_machine(FIXTURES / "pairs.machine")
+        verdict, result, trace = decide(machine, make_input(2))
+        assert trace.outcome is RunOutcome.SPACE_EXCEEDED
+        assert result.status == "fixed"
+        assert result.verdict(trace.final_state.universe) == "accept"
+        assert verdict == "unknown"
+
     def test_mark_all_matches_final_state(self):
         machine = load_machine(FIXTURES / "mark_all.machine")
         inp = parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8"))

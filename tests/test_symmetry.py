@@ -11,6 +11,7 @@ from cpspace.hf import Universe, all_perms, transposition
 from cpspace.machine import make_input
 from cpspace.monitor import load_machine, run
 from cpspace.symmetry import (
+    _CONFIGS,
     BudgetExceeded,
     Config,
     EMPTY_FORM,
@@ -216,6 +217,39 @@ class TestConfigurations:
     def test_molecules_must_be_injective(self):
         with pytest.raises(SymmetryError, match="distinct"):
             conf(((0, 0), (1, 2)))
+
+    def test_molecules_must_share_one_length(self):
+        with pytest.raises(SymmetryError, match="one length"):
+            conf(((0, 1), (2,)))
+        with pytest.raises(SymmetryError, match="at least one"):
+            conf(())
+
+    @staticmethod
+    def partition_by_atom(mols):
+        """Reference: group the grid cells by the atom they name."""
+        groups = {}
+        for i, m in enumerate(mols):
+            for p, atom in enumerate(m):
+                groups.setdefault(atom, []).append((i, p))
+        return make_config(len(mols), len(mols[0]), groups.values())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interned_conf_matches_partition_by_atom(self, k):
+        mols = list(itertools.permutations(range(5), k))
+        first_by_blocks = {}
+        triples = list(itertools.product(mols, repeat=3))
+        cases = list(itertools.product(mols, repeat=2))
+        cases += random.Random(k).sample(triples, min(500, len(triples)))
+        for case in cases:
+            got = conf(case)
+            assert got == self.partition_by_atom(case), case
+            assert first_by_blocks.setdefault(got.blocks, got) is got, case
+
+    def test_interned_table_stays_bounded(self):
+        for case in itertools.product(itertools.permutations(range(8), 2), repeat=2):
+            conf(case)
+        pairs_of_2 = [key for key in _CONFIGS if len(key) == 2 and len(key[0]) == 2]
+        assert len(pairs_of_2) <= len(all_configs2(2))
 
     def test_blocks_cannot_merge_one_row(self):
         with pytest.raises(SymmetryError, match="repeats a row"):
@@ -505,6 +539,14 @@ class TestFragments:
             build_fragment(3, 1, 1)
         monkeypatch.delenv("CPS_BUDGET")
         assert resolve_budget(None) > 12
+
+    def test_budget_resolver_takes_the_callers_default(self, monkeypatch):
+        monkeypatch.delenv("CPS_BUDGET", raising=False)
+        assert resolve_budget(None, 7) == 7
+        assert resolve_budget(5, 7) == 5
+        monkeypatch.setenv("CPS_BUDGET", "12")
+        assert resolve_budget(None, 7) == 12
+        assert resolve_budget(5, 7) == 5
 
     def test_export_and_parse(self):
         frag = build_fragment(3, 1, 1)
