@@ -69,6 +69,7 @@ class Universe:
         self.empty: ObjId = self._intern_set(())
         self.one: ObjId = self._intern_set((self.empty,))
         self._atoms_tuple = tuple(range(n_atoms))
+        self._atoms_set: ObjId | None = None  # interned on first use
 
     def _add(self, kind: int, payload, key) -> ObjId:
         self._kind.append(kind)
@@ -134,7 +135,9 @@ class Universe:
 
     def atoms_set(self) -> ObjId:
         """The set of all atoms."""
-        return self.mk_set(self._atoms_tuple)
+        if self._atoms_set is None:
+            self._atoms_set = self.mk_set(self._atoms_tuple)
+        return self._atoms_set
 
     # -- structure -------------------------------------------------------
 

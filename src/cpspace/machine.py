@@ -132,6 +132,14 @@ def permute_input(inp: InputStructure, perm: Perm) -> InputStructure:
 # -- states ---------------------------------------------------------------------
 
 
+def tables_key(tables: dict[str, dict]):
+    """Hashable exact fingerprint of a set of dynamic tables."""
+    return tuple(
+        (name, tuple(sorted(tbl.items())))
+        for name, tbl in sorted(tables.items())
+    )
+
+
 @dataclass
 class State:
     universe: Universe
@@ -147,10 +155,7 @@ class State:
 
     def canonical_key(self):
         """Hashable exact fingerprint of the dynamic part of the state."""
-        return tuple(
-            (name, tuple(sorted(tbl.items())))
-            for name, tbl in sorted(self.tables.items())
-        )
+        return tables_key(self.tables)
 
     def table_size(self) -> int:
         return sum(len(tbl) for tbl in self.tables.values())

@@ -21,18 +21,24 @@ tables, the usual convention for partial fixed points) recovers the
 run of the machine table-for-table, without stepping states.
 
 Formulas are evaluated against either a live state (update atoms read
-its tables) or against stage tables.  Quantifiers prefer guards --
-membership in an evaluated set, an equation pinning the variable, a
-table row -- and fall back to enumerating a supplied object universe;
-evaluation without guards or a universe is an error, not a silent
-wrong answer.  The same evaluator handles explicit fixed-point
-operators in sentences over pure set structures.
+its tables) or against stage tables.  A formula is compiled into nested
+closures once for each shape of environment it meets (the names bound,
+state or table mode, the relations with rows), and its guard plan is
+fixed then: quantifiers prefer guards -- membership in an evaluated set,
+an equation pinning the variable, a table row -- and fall back to
+enumerating a supplied object universe; evaluation without guards or a
+universe is an error when reached, not a silent wrong answer.  The same
+evaluator handles explicit fixed-point operators in sentences over pure
+set structures.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+from typing import NamedTuple
 
 from cpspace.hf import ObjId, Universe
 from cpspace.machine import (
@@ -41,6 +47,7 @@ from cpspace.machine import (
     State,
     eval_term,
     make_input,
+    tables_key,
 )
 from cpspace.monitor import PSpaceMachine, RunOutcome, RunTrace, run
 from cpspace.syntax import (
@@ -544,221 +551,379 @@ class Env:
     objects: list[ObjId] | None = None
     pfp_rels: dict[str, set] | None = None
 
-    @property
-    def table_mode(self) -> bool:
-        return self.tables is not None
-
-    def term(self, t: Term) -> ObjId:
-        return eval_term(self.term_state, t, self.binding)
-
 
 def eval_formula(phi: Formula, env: Env) -> bool:
-    u = env.term_state.universe
+    """Whether phi holds in env, by phi's plan for the shape of env."""
+    shape = _Shape(frozenset(env.binding),
+                   None if env.tables is None else frozenset(env.tables),
+                   frozenset(env.pfp_rels or ()))
+    run = _Run(env.term_state, env.binding, env.tables, env.objects, env.pfp_rels)
+    return _plan(phi, shape)(run)
+
+
+# A formula compiles, once per shape of environment, into a plan: a
+# closure `plan(run) -> bool`.  The shape fixes every choice the order of
+# evaluation makes apart from values; the plan reads values from `run`.
+
+
+class _Shape(NamedTuple):
+    bound: frozenset          # names in the binding
+    tables: frozenset | None  # stage-table names; None in state mode
+    rels: frozenset           # fixed-point relations being iterated
+
+    def bind(self, var: str) -> _Shape:
+        return self._replace(bound=self.bound | {var})
+
+
+class _Run:
+    __slots__ = ("binding", "state", "empty", "one", "contains", "elements",
+                 "objects", "tables", "rels")
+
+    def __init__(self, state, binding, tables, objects, rels):
+        u = state.universe
+        self.binding, self.state, self.objects = binding, state, objects
+        self.empty, self.one = u.empty, u.one
+        self.contains, self.elements = u.contains, u.elements
+        self.tables, self.rels = tables, rels
+
+
+def _plan(phi: Formula, shape: _Shape):
+    """phi's plan for this shape, kept on the formula node itself so that
+    it lives exactly as long as the formula."""
+    try:
+        plans = phi._plans
+    except AttributeError:
+        plans = {}
+        object.__setattr__(phi, "_plans", plans)
+    plan = plans.get(shape)
+    if plan is None:
+        plan = plans[shape] = _compile(phi, shape)
+    return plan
+
+
+class _Deferred:
+    """build(*args), compiled when first run, so that only the parts
+    evaluation reaches are compiled.  Keeps no reference to its callers."""
+
+    __slots__ = ("args", "plan")
+
+    def __init__(self, *args):
+        self.args, self.plan = args, None
+
+    def get(self):
+        if self.plan is None:
+            build, *args = self.args
+            self.plan, self.args = build(*args), None
+        return self.plan
+
+
+def _false(run):
+    return False
+
+
+_one, _empty = attrgetter("one"), attrgetter("empty")
+
+
+def _fail(message: str, terms=None):
+    """A plan that evaluates terms, then raises: errors stay lazy."""
+    def plan(run):
+        if terms is not None:
+            terms(run)
+        raise FormulaError(message)
+    return plan
+
+
+def _term(t: Term, bound: frozenset):
+    """Bound variables and true/false/emptyset are read directly; every
+    other term goes through `eval_term`."""
+    if isinstance(t, Variable) and t.name in bound:
+        name = t.name
+        return lambda run: run.binding[name]
+    if isinstance(t, Apply) and t.name == "true":
+        return _one
+    if isinstance(t, Apply) and t.name in ("false", "emptyset"):
+        return _empty
+    return lambda run: eval_term(run.state, t, run.binding)
+
+
+def _terms(terms: tuple[Term, ...], bound: frozenset):
+    """The tuple of the terms' values."""
+    plans = [_term(t, bound) for t in terms]
+    if len(plans) == 1:
+        (only,) = plans
+        return lambda run: (only(run),)
+    return lambda run: tuple([t(run) for t in plans])
+
+
+def _compile(phi: Formula, shape: _Shape):
+    bound = shape.bound
     if isinstance(phi, TrueF):
-        return True
+        return lambda run: True
     if isinstance(phi, FalseF):
-        return False
+        return _false
     if isinstance(phi, Not):
-        return not eval_formula(phi.body, env)
+        body = _plan(phi.body, shape)
+        return lambda run: not body(run)
     if isinstance(phi, And):
-        return all(eval_formula(p, env) for p in phi.parts)
+        return _all(phi.parts, shape)
     if isinstance(phi, Or):
-        return any(eval_formula(p, env) for p in phi.parts)
+        return _any([_Deferred(_plan, p, shape) for p in phi.parts])
     if isinstance(phi, TermEq):
-        return env.term(phi.left) == env.term(phi.right)
+        left, right = _term(phi.left, bound), _term(phi.right, bound)
+        return lambda run: left(run) == right(run)
     if isinstance(phi, Member):
-        return u.contains(env.term(phi.container), env.term(phi.elem))
+        elem, container = _term(phi.elem, bound), _term(phi.container, bound)
+        return lambda run: run.contains(container(run), elem(run))
     if isinstance(phi, DynEq):
-        if env.table_mode:
-            raise FormulaError("state atom evaluated against stage tables")
-        args = tuple(env.term(a) for a in phi.args)
-        return env.term_state.lookup(phi.name, args) == env.term(phi.value)
+        if shape.tables is not None:
+            return _fail("state atom evaluated against stage tables")
+        name, value, args = phi.name, _term(phi.value, bound), _terms(phi.args, bound)
+        return lambda run: run.state.lookup(name, args(run)) == value(run)
     if isinstance(phi, ResAtom):
-        row = tuple(env.term(a) for a in phi.args)
-        if env.pfp_rels is not None and phi.name in env.pfp_rels:
-            return row in env.pfp_rels[phi.name]
-        if env.tables is None:
-            raise FormulaError(f"no table for relation {phi.name!r}")
-        tbl = env.tables.get(phi.name)
-        if tbl is None:
-            raise FormulaError(f"no table for relation {phi.name!r}")
-        return tbl.get(row[:-1]) == row[-1]
+        name, args = phi.name, _terms(phi.args, bound)
+        if name in shape.rels:
+            return lambda run: args(run) in run.rels[name]
+        if shape.tables is None or name not in shape.tables:
+            return _fail(f"no table for relation {name!r}", args)
+
+        def row(run):
+            vals = args(run)
+            return run.tables[name].get(vals[:-1]) == vals[-1]
+        return row
     if isinstance(phi, Exists):
-        return _eval_exists(phi.var, phi.body, env)
+        return _exists(phi.var, phi.body, shape)
     if isinstance(phi, PFPOp):
-        return _eval_pfp_op(phi, env)
+        return _pfp_op(phi, shape)
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _try_term(env: Env, t: Term):
-    try:
-        return env.term(t)
-    except MachineError:
-        return None
+def _all(parts: tuple[Formula, ...], shape: _Shape):
+    if len(parts) == 1:
+        return _plan(parts[0], shape)
+    plans = [_Deferred(_plan, p, shape) for p in parts]
+
+    def conj(run):
+        for p in plans:
+            if not (p.plan or p.get())(run):
+                return False
+        return True
+    return conj
 
 
-def _guard_candidates(var: str, conjuncts: tuple[Formula, ...], env: Env):
-    """Values the guard conjunct allows for var, or None if unguarded."""
-    v = Variable(var)
-    u = env.term_state.universe
-    for c in conjuncts:
-        if isinstance(c, Member) and c.elem == v and var not in free_vars(c.container):
-            src = _try_term(env, c.container)
-            if src is not None:
-                return list(u.elements(src))
-        if isinstance(c, TermEq):
-            for a, b in ((c.left, c.right), (c.right, c.left)):
-                if a == v and var not in free_vars(b):
-                    val = _try_term(env, b)
-                    if val is not None:
-                        return [val]
-        if isinstance(c, DynEq) and not env.table_mode:
-            if c.value == v and all(var not in free_vars(a) for a in c.args):
-                args = tuple(_try_term(env, a) for a in c.args)
-                if all(a is not None for a in args):
-                    return [env.term_state.lookup(c.name, args)]
-        if isinstance(c, ResAtom):
-            positions = [i for i, a in enumerate(c.args) if a == v]
-            rest_ok = all(
-                var not in free_vars(a) for i, a in enumerate(c.args) if i not in positions)
-            if len(positions) == 1 and rest_ok:
-                rows = _res_rows(c.name, env)
-                if rows is None:
-                    continue
-                fixed = {}
-                usable = True
-                for i, a in enumerate(c.args):
-                    if i in positions:
-                        continue
-                    val = _try_term(env, a)
-                    if val is None:
-                        usable = False
-                        break
-                    fixed[i] = val
-                if not usable:
-                    continue
-                out = []
-                for row in rows:
-                    if all(row[i] == val for i, val in fixed.items()):
-                        out.append(row[positions[0]])
-                return out
-    return None
+def _any(plans: list[_Deferred]):
+    def disj(run):
+        for p in plans:
+            if (p.plan or p.get())(run):
+                return True
+        return False
+    return disj
 
 
-def _res_rows(name: str, env: Env):
-    if env.pfp_rels is not None and name in env.pfp_rels:
-        return list(env.pfp_rels[name])
-    if env.tables is not None and name in env.tables:
-        return [args + (val,) for args, val in env.tables[name].items()]
-    return None
-
-
-def _eval_exists(var: str, body: Formula, env: Env) -> bool:
+def _exists(var: str, body: Formula, shape: _Shape):
     conjuncts = list(body.parts) if isinstance(body, And) else [body]
+    fvs = [formula_vars(c) for c in conjuncts]
     queue = [var]
     # Splice nested existential conjuncts into a single quantifier block:
     # exists x (exists w B /\ R) == exists x exists w (B /\ R) whenever w
     # is fresh for R.  Extraction variables are globally fresh, so this
     # surfaces guards buried by nested value flattening.  Skip names that
-    # shadow an outer binding; those stay nested and evaluate recursively.
+    # shadow an outer binding; those stay nested and get blocks of their own.
     i = 0
     while i < len(conjuncts):
         c = conjuncts[i]
         if (isinstance(c, Exists) and c.var not in queue
-                and c.var not in env.binding
-                and not any(c.var in formula_vars(p)
-                            for j, p in enumerate(conjuncts) if j != i)):
+                and c.var not in shape.bound
+                and not any(c.var in fv for j, fv in enumerate(fvs) if j != i)):
             queue.append(c.var)
             inner = c.body.parts if isinstance(c.body, And) else (c.body,)
-            conjuncts[i:i + 1] = list(inner)
+            conjuncts[i:i + 1] = inner
+            fvs[i:i + 1] = [formula_vars(p) for p in inner]
             continue
         i += 1
-    return _eval_block(queue, conjuncts, env)
+    return _block(tuple(queue), tuple(conjuncts), shape)
 
 
-def _eval_block(queue: list[str], conjuncts: list[Formula], env: Env) -> bool:
+def _block(queue: tuple[str, ...], conjuncts: tuple[Formula, ...], shape: _Shape, skip=0):
+    """Plan of "exists queue: and(conjuncts)".
+
+    Bind whichever block variable has an evaluable guard, trying the
+    variables in queue order and each variable's guards in conjunct
+    order, past the first `skip`; a guard that mentions still-unbound
+    block variables is tried again once those bind.  The guards after
+    the first whose variables are all bound are compiled only if it fails
+    to evaluate.  Failing every guard, push the block through a
+    disjunctive conjunct, and failing that, enumerate the object universe
+    for the first variable.
+    """
     if not queue:
-        return eval_formula(mk_and(conjuncts), env)
-    # bind whichever block variable has an evaluable guard; guards that
-    # mention still-unbound block variables are retried once those bind
-    parts = tuple(conjuncts)
-    for v in queue:
-        candidates = _guard_candidates(v, parts, env)
-        if candidates is None:
-            continue
-        rest = [w for w in queue if w != v]
-        saved = env.binding.get(v, _MISSING)
-        try:
-            for cand in candidates:
-                env.binding[v] = cand
-                if _eval_block(rest, conjuncts, env):
-                    return True
-            return False
-        finally:
-            _restore(env.binding, v, saved)
-    # no guard anywhere: push the block through a disjunctive conjunct
+        # a false conjunct leaves the others unevaluated, as mk_and folds it
+        if any(isinstance(c, FalseF) for c in conjuncts):
+            return _false
+        return _all(conjuncts, shape)
+    guards = ((v, *g) for v in queue for g in _guards(v, conjuncts, shape))
+    attempts = []
+    for v, guard, certain, idx in itertools.islice(guards, skip, None):
+        rest = tuple(w for w in queue if w != v)
+        inner, c = conjuncts, conjuncts[idx]
+        if certain and not isinstance(c, ResAtom) and formula_vars(c).isdisjoint(rest):
+            # every candidate makes the guard's own conjunct true, and no
+            # later binding changes it: it need not be tested again
+            inner = conjuncts[:idx] + conjuncts[idx + 1:]
+        attempts.append((v, guard, _Deferred(_block, rest, inner, shape.bind(v))))
+        if certain:
+            fallback = _Deferred(_block, queue, conjuncts, shape, skip + len(attempts))
+            break
+    else:
+        if not attempts:
+            return _unguarded(queue, conjuncts, shape)
+        fallback = _Deferred(_unguarded, queue, conjuncts, shape)
+
+    def block(run):
+        for v, guard, sub in attempts:
+            candidates = guard(run)
+            if candidates is not None:
+                return _any_binding(run, v, candidates, sub.plan or sub.get())
+        return (fallback.plan or fallback.get())(run)
+    return block
+
+
+def _unguarded(queue, conjuncts, shape):
     for idx, c in enumerate(conjuncts):
-        if isinstance(c, Or) and any(v in formula_vars(c) for v in queue):
+        if isinstance(c, Or) and not formula_vars(c).isdisjoint(queue):
             rest = conjuncts[:idx] + conjuncts[idx + 1:]
-            return any(
-                _eval_block(queue, rest + [branch], env)
-                for branch in c.parts
-            )
-    if env.objects is None:
-        raise FormulaError(
-            f"existential over {queue[0]!r} has no guard and no object universe")
+            return _any([_Deferred(_block, queue, rest + (b,), shape) for b in c.parts])
     v = queue[0]
-    saved = env.binding.get(v, _MISSING)
-    try:
-        for cand in env.objects:
-            env.binding[v] = cand
-            if _eval_block(queue[1:], conjuncts, env):
-                return True
-        return False
-    finally:
-        _restore(env.binding, v, saved)
+    sub = _Deferred(_block, queue[1:], conjuncts, shape.bind(v))
+    message = f"existential over {v!r} has no guard and no object universe"
+
+    def enumerate_objects(run):
+        if run.objects is None:
+            raise FormulaError(message)
+        return _any_binding(run, v, run.objects, sub.plan or sub.get())
+    return enumerate_objects
 
 
 _MISSING = object()
 
 
-def _restore(binding: dict, var: str, saved):
-    if saved is _MISSING:
-        binding.pop(var, None)
+def _any_binding(run, var: str, candidates, plan) -> bool:
+    """Whether plan holds with var bound to some candidate, in order."""
+    binding = run.binding
+    saved = binding.get(var, _MISSING)
+    try:
+        for cand in candidates:
+            binding[var] = cand
+            if plan(run):
+                return True
+        return False
+    finally:
+        if saved is _MISSING:
+            binding.pop(var, None)
+        else:
+            binding[var] = saved
+
+
+def _must_fail(t: Term, bound: frozenset) -> bool:
+    """`eval_term` on t certainly raises for an unbound variable."""
+    if isinstance(t, Variable):
+        return t.name not in bound
+    if isinstance(t, Apply):
+        return (t.name not in ("true", "false", "emptyset", "Atoms")
+                and any(_must_fail(a, bound) for a in t.args))
+    if isinstance(t, Comprehension):
+        return _must_fail(t.source, bound)
+    return False
+
+
+def _guards(var: str, conjuncts: tuple[Formula, ...], shape: _Shape):
+    """(guard, certain, conjunct index) for var, in the order a block tries
+    them.  A guard returns the values its conjunct allows for var, or None
+    when one of its terms fails to evaluate.  It is certain when its terms
+    have all their variables bound; one whose terms must fail is left out."""
+    v, bound = Variable(var), shape.bound
+    for idx, c in enumerate(conjuncts):
+        forms = []
+        if isinstance(c, Member) and c.elem == v:
+            forms = [((c.container,), _elements)]
+        elif isinstance(c, TermEq):
+            forms = [((b,), _single) for a, b in ((c.left, c.right), (c.right, c.left))
+                     if a == v]
+        elif isinstance(c, DynEq) and shape.tables is None and c.value == v:
+            forms = [(c.args, partial(_lookup, c.name))]
+        elif isinstance(c, ResAtom) and c.args.count(v) == 1:
+            in_rels = c.name in shape.rels
+            if in_rels or (shape.tables is not None and c.name in shape.tables):
+                fixed = [i for i, a in enumerate(c.args) if a != v]
+                forms = [(tuple(c.args[i] for i in fixed),
+                          partial(_rows, c.name, in_rels, c.args.index(v), fixed))]
+        for terms, values in forms:
+            fvs = [free_vars(t) for t in terms]
+            if any(var in fv for fv in fvs) or any(
+                    _must_fail(t, bound) for t, fv in zip(terms, fvs) if not fv <= bound):
+                continue
+            yield (_guard([_term(t, bound) for t in terms], values),
+                   all(fv <= bound for fv in fvs), idx)
+
+
+def _guard(terms, values):
+    def guard(run):
+        try:
+            vals = [t(run) for t in terms]
+        except MachineError:
+            return None
+        return values(run, *vals)
+    return guard
+
+
+def _elements(run, src):
+    return run.elements(src)
+
+
+def _single(run, val):
+    return (val,)
+
+
+def _lookup(name, run, *args):
+    return (run.state.lookup(name, args),)
+
+
+def _rows(name, in_rels, pos, fixed, run, *vals):
+    if in_rels:
+        rows = run.rels[name]
     else:
-        binding[var] = saved
+        rows = [args + (val,) for args, val in run.tables[name].items()]
+    return [row[pos] for row in rows if all(row[i] == x for i, x in zip(fixed, vals))]
 
 
-def _eval_pfp_op(phi: PFPOp, env: Env) -> bool:
-    if env.objects is None:
-        raise FormulaError("a fixed-point operator needs an object universe")
-    k = len(phi.vars)
-    rels = dict(env.pfp_rels or {})
-    current: frozenset = frozenset()
-    seen = {current: 0}
-    trail = [current]
-    final = None
-    while True:
-        rels[phi.rel] = current
-        new = set()
-        sub = Env(env.term_state, dict(env.binding), env.tables, env.objects, rels)
-        for tup in itertools.product(env.objects, repeat=k):
-            for name, val in zip(phi.vars, tup):
-                sub.binding[name] = val
-            if eval_formula(phi.body, sub):
-                new.add(tup)
-        new = frozenset(new)
-        if new == current:
-            final = new
-            break
-        if new in seen:
-            final = frozenset()  # no fixed point: the empty relation
-            break
-        seen[new] = len(trail)
-        trail.append(new)
-        current = new
-    args = tuple(env.term(a) for a in phi.args)
-    return args in final
+def _pfp_op(phi: PFPOp, shape: _Shape):
+    rel, names = phi.rel, phi.vars
+    body = _plan(phi.body, _Shape(shape.bound | set(names), shape.tables, shape.rels | {rel}))
+    args = _terms(phi.args, shape.bound)
+
+    def pfp(run):
+        if run.objects is None:
+            raise FormulaError("a fixed-point operator needs an object universe")
+        rels = dict(run.rels or {})
+        sub = _Run(run.state, dict(run.binding), run.tables, run.objects, rels)
+        current: frozenset = frozenset()
+        seen = {current}
+        while True:
+            rels[rel] = current
+            new = set()
+            for tup in itertools.product(run.objects, repeat=len(names)):
+                sub.binding.update(zip(names, tup))
+                if body(sub):
+                    new.add(tup)
+            new = frozenset(new)
+            if new == current:
+                break
+            if new in seen:
+                new = frozenset()  # no fixed point: the empty relation
+                break
+            seen.add(new)
+            current = new
+        return args(run) in new
+    return pfp
 
 
 # -- stage iteration ---------------------------------------------------------------------
@@ -811,12 +976,6 @@ class StageResult:
         return "accept" if out == u.one else "reject"
 
 
-def _tables_key(tables: dict[str, dict]):
-    return tuple(
-        (name, tuple(sorted(tbl.items()))) for name, tbl in sorted(tables.items())
-    )
-
-
 def iterate_stages(
     program: Program,
     inp: InputStructure,
@@ -826,24 +985,26 @@ def iterate_stages(
 ) -> StageResult:
     """Run the induction from all-empty tables over the given objects."""
     sig = program.signature
-    bodies = stage_bodies(program)
     term_state = State(universe, inp, sig, {n: {} for n in sig.dynamic_names()})
     objects = sorted(objects)
     tables: dict[str, dict] = {n: {} for n in sig.dynamic_names()}
+    names = frozenset(tables)
+    bodies = [(sb, _plan(sb.formula, _Shape(frozenset(sb.arg_vars + (sb.val_var,)),
+                                             names, frozenset())))
+              for sb in stage_bodies(program)]
     stages = [tables]
-    seen = {_tables_key(tables): 0}
+    seen = {tables_key(tables): 0}
     while len(stages) <= max_stages:
         new: dict[str, dict] = {}
-        for sb in bodies:
-            arity = len(sb.arg_vars)
+        for sb, plan in bodies:
             tbl: dict = {}
-            env = Env(term_state, {}, tables, list(objects))
-            for args in itertools.product(objects, repeat=arity):
-                for name, val in zip(sb.arg_vars, args):
-                    env.binding[name] = val
+            run = _Run(term_state, {}, tables, objects, None)
+            binding = run.binding
+            for args in itertools.product(objects, repeat=len(sb.arg_vars)):
+                binding.update(zip(sb.arg_vars, args))
                 for y in objects:
-                    env.binding[sb.val_var] = y
-                    if eval_formula(sb.formula, env):
+                    binding[sb.val_var] = y
+                    if plan(run):
                         if args in tbl:
                             raise FormulaError(
                                 f"stage body for {sb.name!r} related one location to two values")
@@ -852,7 +1013,7 @@ def iterate_stages(
         stages.append(new)
         if new == tables:
             return StageResult("fixed", stages, new)
-        key = _tables_key(new)
+        key = tables_key(new)
         if key in seen:
             empty = {n: {} for n in sig.dynamic_names()}
             return StageResult("cycled", stages, empty)

@@ -68,6 +68,17 @@ class TestInterning:
         s = u.mk_set([u.one, u.atom(2), u.empty, u.atom(0)])
         assert [u.format_literal(c) for c in u.elements(s)] == ["a0", "a2", "0", "1"]
 
+    def test_atoms_set_is_interned_once_on_first_use(self):
+        u = Universe(3)
+        size = u.size()  # nothing is interned ahead of use, so handles keep their order
+        real, calls = u.mk_set, []
+        u.mk_set = lambda elems: calls.append(elems) or real(elems)
+        x = u.atoms_set()
+        assert u.atoms_set() == x
+        assert len(calls) == 1 and u.size() == size + 1
+        assert x == real(u.atoms())
+        assert [u.format_literal(c) for c in u.elements(x)] == ["a0", "a1", "a2"]
+
     def test_foreign_atom_rejected(self):
         u = Universe(2)
         with pytest.raises(HFError):

@@ -1,11 +1,18 @@
 """Update-formula extraction, evaluation, and stage iteration tests."""
 
+import gc
+import itertools
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
+import tarski
+from randgen import random_triple
+
 from cpspace.machine import (
+    MachineError,
     initial_state,
     is_consistent,
     make_input,
@@ -23,6 +30,7 @@ from cpspace.pfp import (
     FreshNames,
     Member,
     Not,
+    Or,
     PFPOp,
     ResAtom,
     TRUEF,
@@ -42,6 +50,7 @@ from cpspace.pfp import (
     update_formula,
     value_formula,
 )
+from cpspace.symmetry import build_fragment
 from cpspace.syntax import Apply, Comprehension, Variable, parse_program
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -400,3 +409,177 @@ class TestGoldenExtraction:
                  header="signature:\n  input E/2\n  dynamic m/1 relational\n")
         self.golden_check(p, "m", "state", "mark_diag_upd_state.sexpr")
         self.golden_check(p, "m", "table", "mark_diag_upd_table.sexpr")
+
+
+def quantifier_depth(phi) -> int:
+    if isinstance(phi, Exists):
+        return 1 + quantifier_depth(phi.body)
+    if isinstance(phi, Not):
+        return quantifier_depth(phi.body)
+    if isinstance(phi, (And, Or)):
+        return max(quantifier_depth(p) for p in phi.parts)
+    return 0
+
+
+def fragment_sentences():
+    """Membership and fixed-point sentences over pure set structures."""
+    x, y = Variable("x"), Variable("y")
+    zero, one = Apply("emptyset"), Apply("true")
+    return [
+        mk_exists("x", TermEq(x, zero)),
+        mk_exists("x", mk_and([Member(zero, x), mk_not(mk_exists("y", mk_and([
+            Member(y, x), mk_not(TermEq(y, zero))])))])),
+        mk_exists("x", mk_and([mk_not(TermEq(x, zero)), mk_not(mk_exists("y", Member(y, x)))])),
+        mk_exists("x", mk_and([Member(zero, x), Member(one, x)])),
+        mk_not(mk_exists("x", mk_and([Member(one, x), mk_not(Member(zero, x))]))),
+        mk_exists("x", Member(x, x)),
+        PFPOp("D", ("x",), mk_or([
+            TermEq(x, zero),
+            mk_exists("y", mk_and([Member(y, x), ResAtom("D", (y,))]))]), (zero,)),
+        mk_not(PFPOp("D", ("x",), mk_not(ResAtom("D", (x,))), (zero,))),
+    ]
+
+
+class TestAgainstTarski:
+    """The compiled, guarded evaluator against the brute-force reading in
+    tests/tarski.py, where every quantifier enumerates an object list."""
+
+    def test_update_formulas_of_random_triples(self):
+        # the brute-force reading costs about |objects| ** (quantifier
+        # depth) per probe, and so does table mode where it falls back on
+        # the object universe; deeper formulas are left to criterion 1,
+        # which checks every state-mode formula against the interpreter
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(400):
+            program, state, binding = random_triple(rng)
+            u = state.universe
+            pool = list(u.atoms())[:2] + [u.empty, u.one]
+            probes = []
+            for name, arity, _rel in program.signature.dynamics:
+                upds = [update_formula(program, name, mode=mode) for mode in ("state", "table")]
+                depth = max(quantifier_depth(upd.formula) for upd in upds)
+                if depth == 0 or u.size() ** depth > 10 ** 4:
+                    continue
+                checked += 1
+                for args in itertools.product(pool, repeat=arity):
+                    for val in pool:
+                        bound = dict(binding)
+                        bound.update(zip(upds[0].arg_vars, args))
+                        bound[upds[0].val_var] = val
+                        value = eval_formula(upds[0].formula, Env(state, dict(bound)))
+                        probes.append((upds, bound, value))
+            # every witness a state-mode guard allows is interned by now
+            objects = list(range(u.size()))
+            for (state_upd, table_upd), bound, value in probes:
+                # as in the stage induction, table mode may fall back on
+                # an object universe
+                env = Env(state, dict(bound), state.tables, objects)
+                assert eval_formula(table_upd.formula, env) == value
+                for upd, tables in ((state_upd, None), (table_upd, state.tables)):
+                    assert tarski.holds(upd.formula, state, bound, objects, tables) == value, (
+                        program.rule, formula_sexpr(upd.formula), bound)
+        assert checked >= 100
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sentences_on_rank_one_fragments(self, n):
+        frag = build_fragment(n, 1, 1)
+        state = initial_state(prog("skip"), make_input(n), universe=frag.universe)
+        objects = list(frag.objects)
+        for phi in fragment_sentences():
+            got = eval_formula(phi, Env(state, {}, tables={}, objects=objects))
+            assert got == tarski.holds(phi, state, {}, objects, {}), formula_sexpr(phi)
+
+    def test_fixed_point_operator_bodies(self):
+        state = initial_state(prog("skip"), make_input(2))
+        u = state.universe
+        objs = [u.empty, u.one, u.mk_set([u.one]), u.atom(0), u.mk_set([u.atom(0), u.one])]
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        brace_chain = mk_or([
+            TermEq(x, Apply("emptyset")),
+            mk_exists("y", mk_and([
+                Member(y, x),
+                ResAtom("D", (y,)),
+                forall_f("z", mk_or([mk_not(Member(z, x)), TermEq(z, y)])),
+            ])),
+        ])
+        cycling = mk_not(ResAtom("D", (x,)))
+        for body in (brace_chain, cycling):
+            for probe in objs:
+                phi = PFPOp("D", ("x",), body, (Variable("p"),))
+                env = Env(state, {"p": probe}, tables={}, objects=objs)
+                assert eval_formula(phi, env) == tarski.holds(
+                    phi, state, {"p": probe}, objs, {})
+
+
+class TestPlans:
+    """A formula compiles once per shape of environment: binding names,
+    state or table mode, and the relations with rows."""
+
+    def test_binding_names_select_the_plan(self):
+        state = initial_state(prog("skip"), make_input(3))
+        u = state.universe
+        # with w bound, the equation pins v; without it, w is unbound
+        phi = Exists("v", And((Member(Variable("v"), Apply("Atoms")),
+                               TermEq(Variable("v"), Variable("w")))))
+        assert eval_formula(phi, Env(state, {"w": u.atom(2)}))
+        with pytest.raises(MachineError, match="unbound variable 'w'"):
+            eval_formula(phi, Env(state, {"q": u.atom(2)}))
+        assert not eval_formula(phi, Env(state, {"w": u.one}))
+        # a name that shadows an outer binding is not spliced into the block
+        shadow = Exists("v", And((Member(Variable("v"), Apply("Atoms")),
+                                  Exists("s", TermEq(Variable("s"), Variable("v"))))))
+        assert eval_formula(shadow, Env(state, {}))
+        assert eval_formula(shadow, Env(state, {"s": u.empty}))
+        assert eval_formula(shadow, Env(state, {}))
+
+    def test_state_and_table_mode_select_the_plan(self):
+        program = prog("skip", header="signature:\n  dynamic c/0\n")
+        state = initial_state(program, make_input(2))
+        u = state.universe
+        state.tables["c"][()] = u.one
+        dyn = DynEq("c", (), Variable("y"))
+        row = ResAtom("c", (Variable("y"),))
+        for _ in range(2):
+            assert eval_formula(dyn, Env(state, {"y": u.one}))
+            with pytest.raises(FormulaError, match="stage tables"):
+                eval_formula(dyn, Env(state, {"y": u.one}, tables={"c": {}}))
+            assert eval_formula(row, Env(state, {"y": u.one}, tables={"c": {(): u.one}}))
+            assert not eval_formula(row, Env(state, {"y": u.one}, tables={"c": {}}))
+            with pytest.raises(FormulaError, match="no table for relation 'c'"):
+                eval_formula(row, Env(state, {"y": u.one}))
+            assert eval_formula(row, Env(state, {"y": u.one}, pfp_rels={"c": {(u.one,)}}))
+
+    def test_errors_are_raised_only_when_reached(self):
+        program = prog("skip", header="signature:\n  dynamic c/0\n")
+        state = initial_state(program, make_input(2))
+        unguarded = Exists("v", Not(TermEq(Variable("v"), TRUE)))
+        state_atom = DynEq("c", (), TRUE)
+        holds = TermEq(TRUE, TRUE)
+        with pytest.raises(FormulaError, match="no guard and no object universe"):
+            eval_formula(Or((TermEq(TRUE, FALSE), unguarded)), Env(state))
+        assert eval_formula(Or((holds, unguarded)), Env(state))
+        table_env = Env(state, {}, tables={"c": {}})
+        with pytest.raises(FormulaError, match="stage tables"):
+            eval_formula(Or((TermEq(TRUE, FALSE), state_atom)), table_env)
+        assert eval_formula(Or((holds, state_atom)), table_env)
+        assert not eval_formula(And((Not(holds), state_atom)), table_env)
+
+    def test_plans_live_only_as_long_as_their_formulas(self):
+        # reference counting alone frees each formula with its plans: no
+        # module-level table keeps them, and no cycle waits for the collector
+        state = initial_state(prog("skip"), make_input(3))
+        u = state.universe
+        refs = []
+        gc.disable()
+        try:
+            for i in range(1000):
+                phi = mk_exists("v", mk_and([
+                    Member(Variable("v"), Apply("Atoms")),
+                    TermEq(Variable("v"), Variable(f"w{i}"))]))
+                assert eval_formula(phi, Env(state, {f"w{i}": u.atom(i % 3)}))
+                refs.append(weakref.ref(phi))
+            del phi
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
