@@ -14,8 +14,16 @@ Conventions baked in here and relied on everywhere else:
   machine location; ``{empty}`` has handle ``Universe.one`` and encodes
   true;
 * the canonical order on handles puts atoms first (by index), then sets
-  ordered lexicographically by their sorted child sequences -- valid
-  because children are always interned before their parents;
+  ordered lexicographically by their sorted child sequences, a prefix
+  first -- valid because children are always interned before their
+  parents;
+* the canonical order is kept as a set of integer order labels, one per
+  object, that compare as their objects do, so a comparison costs O(1)
+  whatever the ranks.  A new set is pending, without a label, until an
+  order is first asked for; then every pending set is labelled, which
+  may renumber the labels of all sets.  ``sort_key(x)`` returns x's
+  label, so its values can be compared only until the next object is
+  interned: compute and compare them within one ``sorted`` call;
 * ``rank`` is 0 for atoms and the empty set, else 1 + the maximal rank
   of an element;
 * ``tc(x)`` is the least transitive set containing x (so it includes x
@@ -30,6 +38,7 @@ meaningful within the universe that produced them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 # Handles into a Universe's intern table, and atom indices.  Atom i has
@@ -42,6 +51,11 @@ Perm = tuple[int, ...]
 
 _ATOM = 0
 _SET = 1
+
+# Atoms are labelled 1..n; sets get labels above n, spread _GAP apart
+# whenever they are relabelled, so that sets placed one by one can take
+# midpoints between neighbours for a while before the next relabel.
+_GAP = 1 << 32
 
 
 class HFError(Exception):
@@ -57,7 +71,9 @@ class Universe:
         self.n_atoms = n_atoms
         self._kind: list[int] = []
         self._payload: list = []        # atom index, or sorted child tuple
-        self._key: list = []            # canonical sort key, built bottom-up
+        self._label: list[int | None] = []  # order label; None while pending
+        self._order: list[ObjId] = []   # labelled sets, in canonical order
+        self._pending: list[ObjId] = []  # unlabelled sets, in creation order
         self._rank: list[int | None] = []
         self._tc: list[tuple[ObjId, ...] | None] = []
         self._set_table: dict[tuple[ObjId, ...], ObjId] = {}
@@ -65,17 +81,19 @@ class Universe:
         # scratch space for other modules' per-universe memo tables
         self.caches: dict[str, dict] = {}
         for i in range(n_atoms):
-            self._add(_ATOM, i, (0, i))
+            self._add(_ATOM, i, i + 1)
         self.empty: ObjId = self._intern_set(())
         self.one: ObjId = self._intern_set((self.empty,))
+        self._order, self._pending = [self.empty, self.one], []  # {} < {{}}
+        self._relabel()
         self._atoms_tuple = tuple(range(n_atoms))
         self._atoms_set: ObjId | None = None  # interned on first use
 
-    def _add(self, kind: int, payload, key) -> ObjId:
+    def _add(self, kind: int, payload, label: int | None) -> ObjId:
         self._kind.append(kind)
         self._payload.append(payload)
-        self._key.append(key)
-        self._rank.append(None)
+        self._label.append(label)
+        self._rank.append(0 if kind == _ATOM else None)
         self._tc.append(None)
         return len(self._kind) - 1
 
@@ -83,10 +101,61 @@ class Universe:
         got = self._set_table.get(children)
         if got is not None:
             return got
-        key = (1, tuple(self._key[c] for c in children))
-        x = self._add(_SET, children, key)
+        x = self._add(_SET, children, None)
         self._set_table[children] = x
+        self._pending.append(x)
         return x
+
+    # -- canonical order -------------------------------------------------
+
+    def _canonical(self, objs) -> tuple[ObjId, ...]:
+        """The given handles in canonical order, labelling pending sets first
+        if one is among them (comparing its None label raises TypeError)."""
+        try:
+            return tuple(sorted(objs, key=self._label.__getitem__))
+        except TypeError:
+            self._settle()
+            return tuple(sorted(objs, key=self._label.__getitem__))
+
+    def _settle(self) -> None:
+        """Label every pending set.
+
+        A labelled set sorts by its children's labels.  A batch whose
+        children all carry labels is sorted once and merged in when that
+        takes fewer sort keys than placing each set by bisection; any
+        other batch is placed set by set, in creation order, so that
+        children are labelled before their parents.
+        """
+        pending, self._pending = self._pending, []
+        label, payload, order = self._label, self._payload, self._order
+        get = label.__getitem__
+
+        def key(y: ObjId) -> tuple[int, ...]:
+            return tuple(map(get, payload[y]))
+
+        if len(pending) * len(order).bit_length() >= len(order) and all(
+            label[c] is not None for x in pending for c in payload[x]
+        ):
+            order.extend(pending)
+            order.sort(key=key)
+            self._relabel()
+            return
+        for x in pending:
+            i = bisect.bisect_left(order, key(x), key=key)
+            lo = label[order[i - 1]] if i else self.n_atoms
+            hi = label[order[i]] if i < len(order) else lo + 2 * _GAP
+            order.insert(i, x)
+            if hi - lo < 2:
+                self._relabel()
+            else:
+                label[x] = (lo + hi) // 2
+
+    def _relabel(self) -> None:
+        """Spread the set labels _GAP apart again, keeping their order."""
+        label = self._label
+        base = self.n_atoms
+        for i, x in enumerate(self._order, 1):
+            label[x] = base + i * _GAP
 
     # -- basic accessors -------------------------------------------------
 
@@ -123,15 +192,17 @@ class Universe:
         """Membership e in x; false whenever x is an atom."""
         return self._kind[x] == _SET and e in self._payload[x]
 
-    def sort_key(self, x: ObjId):
-        return self._key[x]
+    def sort_key(self, x: ObjId) -> int:
+        """x's order label; valid only until the next object is interned."""
+        if self._pending:
+            self._settle()
+        return self._label[x]
 
     # -- constructors ----------------------------------------------------
 
     def mk_set(self, elems) -> ObjId:
         """Intern the set of the given handles (duplicates collapse)."""
-        children = tuple(sorted(set(elems), key=self._key.__getitem__))
-        return self._intern_set(children)
+        return self._intern_set(self._canonical(set(elems)))
 
     def atoms_set(self) -> ObjId:
         """The set of all atoms."""
@@ -143,27 +214,43 @@ class Universe:
 
     def rank(self, x: ObjId) -> int:
         """0 for atoms and the empty set, else 1 + max rank of elements."""
-        r = self._rank[x]
-        if r is not None:
-            return r
-        if self._kind[x] == _ATOM or not self._payload[x]:
-            r = 0
-        else:
-            r = 1 + max(self.rank(c) for c in self._payload[x])
-        self._rank[x] = r
-        return r
+        ranks = self._rank
+        if ranks[x] is None:
+            payload = self._payload
+            stack = [x]
+            while stack:
+                y = stack[-1]
+                todo = [c for c in payload[y] if ranks[c] is None]
+                if todo:
+                    stack.extend(todo)
+                else:
+                    ranks[y] = 1 + max(map(ranks.__getitem__, payload[y])) if payload[y] else 0
+                    stack.pop()
+        return ranks[x]
 
     def tc(self, x: ObjId) -> tuple[ObjId, ...]:
         """Transitive closure of x, including x itself, in canonical order."""
         t = self._tc[x]
         if t is not None:
             return t
+        kind, payload, memo = self._kind, self._payload, self._tc
         acc = {x}
-        if self._kind[x] == _SET:
-            for c in self._payload[x]:
-                acc.update(self.tc(c))
-        t = tuple(sorted(acc, key=self._key.__getitem__))
-        self._tc[x] = t
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if kind[y] == _ATOM:
+                continue
+            for c in payload[y]:
+                if c in acc:
+                    continue
+                known = memo[c]
+                if known is None:
+                    acc.add(c)
+                    stack.append(c)
+                else:
+                    acc.update(known)
+        t = self._canonical(acc)
+        memo[x] = t
         return t
 
     # -- permutation action ----------------------------------------------
@@ -176,24 +263,50 @@ class Universe:
         got = memo.get((p, x))
         if got is not None:
             return got
-        if self._kind[x] == _ATOM:
-            y = p[self._payload[x]]
-        else:
-            y = self.mk_set(self.apply_perm(p, c) for c in self._payload[x])
-        memo[(p, x)] = y
-        return y
+        kind, payload = self._kind, self._payload
+        stack = [x]
+        while stack:
+            y = stack[-1]
+            if (p, y) in memo:
+                stack.pop()
+            elif kind[y] == _ATOM:
+                memo[(p, y)] = p[payload[y]]
+                stack.pop()
+            else:
+                todo = [c for c in payload[y] if (p, c) not in memo]
+                if todo:
+                    stack.extend(todo)
+                else:
+                    memo[(p, y)] = self.mk_set([memo[(p, c)] for c in payload[y]])
+                    stack.pop()
+        return memo[(p, x)]
 
     # -- literals ----------------------------------------------------------
 
     def format_literal(self, x: ObjId) -> str:
         """Textual form: atoms a0, a1, ...; 0 for {}; 1 for {{}}; braces else."""
-        if self._kind[x] == _ATOM:
-            return f"a{self._payload[x]}"
-        if x == self.empty:
-            return "0"
-        if x == self.one:
-            return "1"
-        return "{" + ", ".join(self.format_literal(c) for c in self._payload[x]) + "}"
+        kind, payload = self._kind, self._payload
+        out: list[str] = []
+        stack: list[ObjId | str] = [x]  # objects still to write, and text between them
+        while stack:
+            y = stack.pop()
+            if isinstance(y, str):
+                out.append(y)
+            elif kind[y] == _ATOM:
+                out.append(f"a{payload[y]}")
+            elif y == self.empty:
+                out.append("0")
+            elif y == self.one:
+                out.append("1")
+            else:
+                kids = payload[y]
+                out.append("{")
+                stack.append("}")
+                for c in kids[:0:-1]:
+                    stack.append(c)
+                    stack.append(", ")
+                stack.append(kids[0])
+        return "".join(out)
 
     def parse_literal(self, text: str) -> ObjId:
         x, pos = self._parse_lit(text, 0)
@@ -203,39 +316,47 @@ class Universe:
         return x
 
     def _parse_lit(self, s: str, pos: int) -> tuple[ObjId, int]:
-        pos = _skip_ws(s, pos)
-        if pos >= len(s):
-            raise HFError("unexpected end of object literal")
-        c = s[pos]
-        if c == "0":
-            return self.empty, pos + 1
-        if c == "1":
-            return self.one, pos + 1
-        if c == "a":
-            j = pos + 1
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            if j == pos + 1:
-                raise HFError(f"bad atom literal at offset {pos}: {s!r}")
-            return self.atom(int(s[pos + 1:j])), j
-        if c == "{":
-            pos = _skip_ws(s, pos + 1)
-            elems = []
-            if pos < len(s) and s[pos] == "}":
-                return self.mk_set(()), pos + 1
-            while True:
-                e, pos = self._parse_lit(s, pos)
-                elems.append(e)
+        open_sets: list[list[ObjId]] = []  # members read so far of each unclosed set
+        while True:
+            pos = _skip_ws(s, pos)
+            if pos >= len(s):
+                raise HFError("unexpected end of object literal")
+            c = s[pos]
+            if c == "0":
+                x, pos = self.empty, pos + 1
+            elif c == "1":
+                x, pos = self.one, pos + 1
+            elif c == "a":
+                j = pos + 1
+                while j < len(s) and s[j].isdigit():
+                    j += 1
+                if j == pos + 1:
+                    raise HFError(f"bad atom literal at offset {pos}: {s!r}")
+                x, pos = self.atom(int(s[pos + 1:j])), j
+            elif c == "{":
+                pos = _skip_ws(s, pos + 1)
+                if pos < len(s) and s[pos] == "}":
+                    x, pos = self.empty, pos + 1
+                else:
+                    open_sets.append([])
+                    continue
+            else:
+                raise HFError(f"bad object literal at offset {pos}: {s!r}")
+            # x is complete: add it to the innermost open set, closing sets
+            # for as long as a '}' follows
+            while open_sets:
+                open_sets[-1].append(x)
                 pos = _skip_ws(s, pos)
                 if pos >= len(s):
                     raise HFError("unterminated set literal")
                 if s[pos] == ",":
                     pos += 1
-                    continue
-                if s[pos] == "}":
-                    return self.mk_set(elems), pos + 1
-                raise HFError(f"expected ',' or '}}' at offset {pos} in {s!r}")
-        raise HFError(f"bad object literal at offset {pos}: {s!r}")
+                    break
+                if s[pos] != "}":
+                    raise HFError(f"expected ',' or '}}' at offset {pos} in {s!r}")
+                x, pos = self.mk_set(open_sets.pop()), pos + 1
+            if not open_sets:
+                return x, pos
 
 
 def _skip_ws(s: str, pos: int) -> int:

@@ -647,8 +647,17 @@ def bulk_images(u: Universe, perm: Perm, objects) -> dict[ObjId, ObjId]:
     One bottom-up pass in rank order, so each image is a single mk_set
     over already-mapped children; avoids the per-object memo table.
     """
+    return _images(u, perm, _bottom_up(u, objects))
+
+
+def _bottom_up(u: Universe, objects) -> list[ObjId]:
+    """The family by rank, then canonical order: children before parents."""
+    return sorted(objects, key=lambda o: (u.rank(o), u.sort_key(o)))
+
+
+def _images(u: Universe, perm: Perm, bottom_up) -> dict[ObjId, ObjId]:
     img: dict[ObjId, ObjId] = {}
-    for x in sorted(objects, key=lambda o: (u.rank(o), u.sort_key(o))):
+    for x in bottom_up:
         if u.is_atom(x):
             img[x] = perm[u.atom_index(x)]
         else:
@@ -656,18 +665,16 @@ def bulk_images(u: Universe, perm: Perm, objects) -> dict[ObjId, ObjId]:
     return img
 
 
-def _stabilizer_orbits(u: Universe, fixed, objects) -> list[list[ObjId]]:
+def _stabilizer_orbits(u: Universe, fixed, objects, maps) -> list[list[ObjId]]:
     """Orbits of the given objects under permutations fixing `fixed` pointwise.
 
-    The family must be closed under those permutations.  Transpositions
-    outside the fixed set generate the stabilizer, so orbits are the
-    connected components of their image maps.
+    The family must be closed under those permutations, and maps[a, b]
+    must be the image map of the transposition of atoms a < b over it.
+    Transpositions outside the fixed set generate the stabilizer, so
+    orbits are the connected components of their image maps.
     """
     outside = [a for a in range(u.n_atoms) if a not in set(fixed)]
-    maps = [
-        bulk_images(u, transposition(u.n_atoms, a, b), objects)
-        for a, b in itertools.combinations(outside, 2)
-    ]
+    gens = [maps[a, b] for a, b in itertools.combinations(outside, 2)]
     seen: set[ObjId] = set()
     orbits: list[list[ObjId]] = []
     for start in objects:
@@ -678,7 +685,7 @@ def _stabilizer_orbits(u: Universe, fixed, objects) -> list[list[ObjId]]:
         queue = [start]
         while queue:
             x = queue.pop()
-            for m in maps:
+            for m in gens:
                 y = m[x]
                 if y not in seen:
                     seen.add(y)
@@ -726,8 +733,9 @@ class SymmetricFragment:
     def is_orbit_closed(self) -> bool:
         """Closure under the transposition generators implies the full group."""
         u = self.universe
+        bottom_up = _bottom_up(u, self.objects)
         for a, b in itertools.combinations(range(self.n), 2):
-            img = bulk_images(u, transposition(self.n, a, b), self.objects)
+            img = _images(u, transposition(self.n, a, b), bottom_up)
             if any(y not in self._index for y in img.values()):
                 return False
         return True
@@ -811,10 +819,15 @@ def build_fragment(
     acc.add(u.empty)
     ordered = sorted(acc, key=u.sort_key)
     for _level in range(r):
+        bottom_up = _bottom_up(u, ordered)
+        maps = {
+            (a, b): _images(u, transposition(n, a, b), bottom_up)
+            for a, b in itertools.combinations(range(n), 2)
+        }
         new: set[ObjId] = set()
         for size in range(min(k, n) + 1):
             for fixed in itertools.combinations(range(n), size):
-                orbits = _stabilizer_orbits(u, fixed, ordered)
+                orbits = _stabilizer_orbits(u, fixed, ordered, maps)
                 if len(orbits) >= 60 or (1 << len(orbits)) > 4 * cap:
                     raise BudgetExceeded(
                         f"2^{len(orbits)} candidate unions for stabilizer of "

@@ -79,6 +79,16 @@ class TestRun:
         assert "  m(a0) = 1" in out
         assert "  Halt() = 1" in out
 
+    def test_trace_states_dumps_a_deep_run(self, capsys):
+        steps = 2000
+        code, out, _ = cli(capsys, "run", FIXTURES / "deep.machine", "--naked-set", 3,
+                           "--max-steps", steps, "--trace", "states", "--no-meta")
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[-2] == f"step {steps} active={3 + steps + 1}"
+        # {} is written 0 and {{}} is written 1
+        assert lines[-1] == "  c() = " + "{" * (steps - 1) + "1" + "}" * (steps - 1)
+
     def test_meta_line_appears_by_default(self, capsys):
         _, out, _ = cli(capsys, "run", FIXTURES / "halt_accept.machine",
                         "--naked-set", 3)

@@ -1,8 +1,10 @@
 """Universe interning, rank, transitive closure, permutation action."""
 
+import itertools
 import random
 
 import pytest
+from canon import assert_canonical, reference_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,10 @@ from cpspace.hf import (
     invert,
     transposition,
 )
+from cpspace.symmetry import build_fragment
+
+# Deeper than the default recursion limit of 1000.
+DEEP = 1500
 
 
 def build_random_object(u, rng, depth):
@@ -25,6 +31,22 @@ def build_random_object(u, rng, depth):
         return u.empty
     k = rng.randrange(0, 4)
     return u.mk_set(build_random_object(u, rng, depth - 1) for _ in range(k))
+
+
+def chain(u, x, depth):
+    """x wrapped in `depth` pairs of braces, with every level on the way."""
+    levels = [x]
+    for _ in range(depth):
+        levels.append(u.mk_set([levels[-1]]))
+    return levels
+
+
+def count_calls(monkeypatch, u, name):
+    """Record each call of u's method `name`, which still runs."""
+    calls = []
+    real = getattr(u, name)
+    monkeypatch.setattr(u, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def naive_frozen(u, x):
@@ -189,3 +211,126 @@ class TestLiterals:
         for text in ["", "a", "{a0", "a0}", "{a0,,a0}", "2", "a7", "{a0} x"]:
             with pytest.raises(HFError):
                 u.parse_literal(text)
+
+
+class TestDeepObjects:
+    """A chain of DEEP levels on a cold Universe(3): nothing is known
+    about the chain before the call, so each call walks every level."""
+
+    def test_rank(self):
+        u = Universe(3)
+        assert u.rank(chain(u, u.atom(0), DEEP)[-1]) == DEEP
+
+    def test_tc(self):
+        u = Universe(3)
+        levels = chain(u, u.atom(0), DEEP)
+        assert u.tc(levels[-1]) == tuple(levels)
+
+    def test_apply_perm(self):
+        u = Universe(3)
+        top = chain(u, u.atom(0), DEEP)[-1]
+        image = u.apply_perm(transposition(3, 0, 1), top)
+        assert image == chain(u, u.atom(1), DEEP)[-1]
+
+    def test_format_literal(self):
+        u = Universe(3)
+        top = chain(u, u.atom(0), DEEP)[-1]
+        assert u.format_literal(top) == "{" * DEEP + "a0" + "}" * DEEP
+
+    def test_parse_literal(self):
+        u = Universe(3)
+        x = u.parse_literal("{" * DEEP + "0" + "}" * DEEP)
+        assert u.rank(x) == DEEP
+        assert x == chain(u, u.empty, DEEP)[-1]
+
+    def test_sort(self):
+        u = Universe(3)
+        levels = chain(u, u.empty, DEEP)
+        assert sorted(reversed(levels), key=u.sort_key) == levels
+
+
+class TestCanonicalOrder:
+    """Order labels against the nested-tuple definition in tests/canon.py."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_interleavings(self, seed):
+        # interning one set or a burst of them, sorting samples and taking
+        # closures, in random order; sets nest freshly interned ones
+        rng = random.Random(seed)
+        u = Universe(rng.randrange(4))
+        pool = list(u.atoms()) + [u.empty, u.one]
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.7:
+                for _ in range(rng.choice((1, 1, 1, 5, 40))):
+                    size = min(len(pool), rng.randrange(4))
+                    pool.append(u.mk_set(rng.sample(pool, size)))
+            elif roll < 0.85:
+                sample = rng.sample(pool, min(len(pool), 12))
+                keys = reference_keys(u)
+                assert sorted(sample, key=u.sort_key) == sorted(sample, key=keys.__getitem__)
+            else:
+                closure = u.tc(rng.choice(pool))
+                keys = reference_keys(u)
+                assert list(closure) == sorted(closure, key=keys.__getitem__)
+        assert_canonical(u)
+
+    def test_batch_settle(self, monkeypatch):
+        # many new sets of labelled children are sorted and merged at once
+        u = Universe(3)
+        base = [u.mk_set(s) for size in range(4) for s in itertools.combinations(u.atoms(), size)]
+        u.sort_key(u.empty)
+        relabels = count_calls(monkeypatch, u, "_relabel")
+        for a, b in itertools.combinations(base, 2):
+            u.mk_set([a, b, u.one])
+        u.sort_key(u.empty)
+        assert len(relabels) == 1
+        assert_canonical(u)
+
+    def test_single_inserts(self, monkeypatch):
+        # a few new sets among many labelled ones each take a free label
+        u = Universe(3)
+        base = [u.mk_set(s) for size in range(4) for s in itertools.combinations(u.atoms(), size)]
+        wide = [u.mk_set([a, b]) for a, b in itertools.combinations(base, 2)]
+        u.sort_key(u.empty)
+        relabels = count_calls(monkeypatch, u, "_relabel")
+        rng = random.Random(3)
+        for _ in range(5):
+            x = u.mk_set(rng.sample(wide, 3))
+            u.sort_key(x)
+        assert not relabels
+        assert_canonical(u)
+
+    def test_running_out_of_gap_relabels(self, monkeypatch):
+        # {a0, c} grows with c along the chain 0, {0}, {{0}}, ...; interning
+        # those sets from the top of the chain down places each one just
+        # below the last, halving the free gap every time
+        u = Universe(1)
+        levels = chain(u, u.empty, 40)
+        u.sort_key(u.empty)
+        relabels = count_calls(monkeypatch, u, "_relabel")
+        for c in reversed(levels):
+            u.sort_key(u.mk_set([u.atom(0), c]))
+        assert relabels
+        assert_canonical(u)
+
+    def test_sort_starting_on_labelled_objects(self):
+        # the first keys are read off labelled objects; the pending ones
+        # behind them relabel every set, so all keys must be read after that
+        u = Universe(3)
+        base = [u.mk_set(s) for size in range(4) for s in itertools.combinations(u.atoms(), size)]
+        u.sort_key(u.empty)
+        fresh = [u.mk_set([a, b]) for a in u.atoms() for b in base]  # {a, b} sits among base
+        objs = base + fresh
+        keys = reference_keys(u)
+        assert sorted(objs, key=u.sort_key) == sorted(objs, key=keys.__getitem__)
+
+    @pytest.mark.parametrize("n,k,r", [(2, 1, 2), (3, 1, 1), (4, 1, 1)])
+    def test_fragment_object_order(self, n, k, r):
+        frag = build_fragment(n, k, r)
+        u = frag.universe
+        keys = reference_keys(u)
+        assert list(frag.objects) == sorted(frag.objects, key=keys.__getitem__)
+        for x in frag.objects:
+            assert list(u.tc(x)) == sorted(u.tc(x), key=keys.__getitem__)
+        assert_canonical(u)

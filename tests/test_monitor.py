@@ -1,5 +1,6 @@
 """Run-loop tests: outcomes, the active-object measure, check ordering."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,30 @@ class TestOutcomes:
             "signature:\n  dynamic m/0 relational\nspace: 2 1\n\nrule:\nm := {1}\n")
         with pytest.raises(RelationalValueError):
             run(machine, make_input(2))
+
+
+class TestDeepRank:
+    """c := {c} to 2,000 steps, one new object per rank level.
+
+    The stated bound is 10 s of wall time; the run takes well under a
+    second when each canonical comparison costs O(1) and no traversal
+    recurses once per rank level.
+    """
+
+    STEPS = 2000
+    BOUND_S = 10.0
+
+    def test_run_within_time_bound(self):
+        machine = fixture("deep.machine")
+        start = time.perf_counter()
+        trace = run(machine, make_input(3), self.STEPS)
+        elapsed = time.perf_counter() - start
+        assert trace.outcome is RunOutcome.STEP_LIMIT
+        assert trace.steps == self.STEPS
+        assert trace.active_sizes[-1] == 3 + self.STEPS + 1  # atoms, then 0 .. c
+        u = trace.final_state.universe
+        assert u.rank(trace.final_state.lookup("c")) == self.STEPS
+        assert elapsed < self.BOUND_S, f"{self.STEPS} steps took {elapsed:.1f} s"
 
 
 class TestMarkAll:
