@@ -229,14 +229,15 @@ def cmd_run(cfg: ExperimentConfig, em: Emitter) -> int:
                 u = state.universe
                 for name in state.sig.dynamic_names():
                     for args, value in _table_rows(state, name):
-                        shown = ", ".join(u.format_literal(a) for a in args)
+                        shown = [u.format_literal(a) for a in args]
+                        literal = u.format_literal(value)
                         em.emit(
-                            f"  {name}({shown}) = {u.format_literal(value)}",
+                            f"  {name}({', '.join(shown)}) = {literal}",
                             record="table-row",
                             step=i,
                             name=name,
-                            args=[u.format_literal(a) for a in args],
-                            value=u.format_literal(value),
+                            args=shown,
+                            value=literal,
                         )
     return EXIT_CODE[trace.outcome]
 

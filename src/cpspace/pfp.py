@@ -20,16 +20,17 @@ stopping on a fixed point (a repeated non-fixed stage yields all-empty
 tables, the usual convention for partial fixed points) recovers the
 run of the machine table-for-table, without stepping states.
 
-Formulas are evaluated against either a live state (update atoms read
-its tables) or against stage tables.  A formula is compiled into nested
-closures once for each shape of environment it meets (the names bound,
-state or table mode, the relations with rows), and its guard plan is
-fixed then: quantifiers prefer guards -- membership in an evaluated set,
-an equation pinning the variable, a table row -- and fall back to
-enumerating a supplied object universe; evaluation without guards or a
-universe is an error when reached, not a silent wrong answer.  The same
-evaluator handles explicit fixed-point operators in sentences over pure
-set structures.
+Dynamic atoms read one table mapping: a live state's tables, or stage
+tables of the same shape, so one update formula per name serves both.
+A formula is compiled into nested closures once for each shape of
+environment it meets (the names bound, the fixed-point relations being
+iterated), and its guard plan is fixed then: quantifiers prefer guards
+-- membership in an evaluated set, an equation pinning the variable, a
+table row -- and fall back to enumerating a supplied object universe;
+evaluation without guards or a universe, or of an atom whose name has
+no table, is an error when reached, not a silent wrong answer.  The
+same evaluator handles explicit fixed-point operators in sentences over
+pure set structures.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from cpspace.machine import (
     MachineError,
     State,
     eval_term,
-    make_input,
     tables_key,
 )
 from cpspace.monitor import PSpaceMachine, RunOutcome, RunTrace, run
@@ -64,7 +64,6 @@ from cpspace.syntax import (
     Variable,
     free_vars,
     term_contains_dynamic,
-    term_to_text,
     subst_term,
 )
 
@@ -133,7 +132,7 @@ class Member(Formula):
 
 @dataclass(frozen=True)
 class DynEq(Formula):
-    """f(args) = value read from a live state (default: the empty set)."""
+    """f(args) = value, read from a table (default: the empty set)."""
 
     name: str
     args: tuple[Term, ...]
@@ -142,7 +141,7 @@ class DynEq(Formula):
 
 @dataclass(frozen=True)
 class ResAtom(Formula):
-    """Stage-table atom: the row args (last slot: value) is present."""
+    """Table atom: the row args (last slot: value) is present."""
 
     name: str
     args: tuple[Term, ...]
@@ -510,28 +509,15 @@ class UpdateFormula:
     formula: Formula
 
 
-def update_formula(
-    program: Program,
-    fname: str,
-    mode: str = "state",
-    arg_vars: tuple[str, ...] | None = None,
-    val_var: str | None = None,
-) -> UpdateFormula:
+def update_formula(program: Program, fname: str, mode: str = "state") -> UpdateFormula:
     """upd(args, val): the rule issues this update and nothing clashes."""
     sig = program.signature
     info = sig.dynamic_info(fname)
     if info is None:
         raise FormulaError(f"{fname!r} is not a dynamic name")
-    arity = info[0]
     fresh = FreshNames(rule_variable_names(program.rule))
-    if arg_vars is None:
-        arg_vars = tuple(fresh.make("_x") for _ in range(arity))
-    else:
-        fresh.used.update(arg_vars)
-    if val_var is None:
-        val_var = fresh.make("_y")
-    else:
-        fresh.used.add(val_var)
+    arg_vars = tuple(fresh.make("_x") for _ in range(info[0]))
+    val_var = fresh.make("_y")
     mem = _upd_member(program.rule, fname, arg_vars, val_var, sig, mode, fresh)
     con = consistency_formula(program.rule, sig, mode, fresh)
     return UpdateFormula(fname, arg_vars, val_var, mk_and([mem, con]))
@@ -542,8 +528,9 @@ def update_formula(
 
 @dataclass
 class Env:
-    """Evaluation context: terms always read `term_state`; update atoms
-    read the live state in state mode and `tables` in table mode."""
+    """Evaluation context.  Terms always read `term_state`; dynamic atoms
+    (`DynEq`, and `ResAtom` on a relation not being iterated) read
+    `tables`, or the tables of `term_state` when `tables` is None."""
 
     term_state: State
     binding: dict[str, ObjId] = field(default_factory=dict)
@@ -554,9 +541,7 @@ class Env:
 
 def eval_formula(phi: Formula, env: Env) -> bool:
     """Whether phi holds in env, by phi's plan for the shape of env."""
-    shape = _Shape(frozenset(env.binding),
-                   None if env.tables is None else frozenset(env.tables),
-                   frozenset(env.pfp_rels or ()))
+    shape = _Shape(frozenset(env.binding), frozenset(env.pfp_rels or ()))
     run = _Run(env.term_state, env.binding, env.tables, env.objects, env.pfp_rels)
     return _plan(phi, shape)(run)
 
@@ -567,9 +552,8 @@ def eval_formula(phi: Formula, env: Env) -> bool:
 
 
 class _Shape(NamedTuple):
-    bound: frozenset          # names in the binding
-    tables: frozenset | None  # stage-table names; None in state mode
-    rels: frozenset           # fixed-point relations being iterated
+    bound: frozenset  # names in the binding
+    rels: frozenset   # fixed-point relations being iterated
 
     def bind(self, var: str) -> _Shape:
         return self._replace(bound=self.bound | {var})
@@ -584,7 +568,8 @@ class _Run:
         self.binding, self.state, self.objects = binding, state, objects
         self.empty, self.one = u.empty, u.one
         self.contains, self.elements = u.contains, u.elements
-        self.tables, self.rels = tables, rels
+        self.tables = state.tables if tables is None else tables
+        self.rels = rels
 
 
 def _plan(phi: Formula, shape: _Shape):
@@ -624,13 +609,11 @@ def _false(run):
 _one, _empty = attrgetter("one"), attrgetter("empty")
 
 
-def _fail(message: str, terms=None):
-    """A plan that evaluates terms, then raises: errors stay lazy."""
-    def plan(run):
-        if terms is not None:
-            terms(run)
-        raise FormulaError(message)
-    return plan
+def _table(run, name: str) -> dict:
+    tbl = run.tables.get(name)
+    if tbl is None:
+        raise FormulaError(f"no table for relation {name!r}")
+    return tbl
 
 
 def _term(t: Term, bound: frozenset):
@@ -675,20 +658,16 @@ def _compile(phi: Formula, shape: _Shape):
         elem, container = _term(phi.elem, bound), _term(phi.container, bound)
         return lambda run: run.contains(container(run), elem(run))
     if isinstance(phi, DynEq):
-        if shape.tables is not None:
-            return _fail("state atom evaluated against stage tables")
         name, value, args = phi.name, _term(phi.value, bound), _terms(phi.args, bound)
-        return lambda run: run.state.lookup(name, args(run)) == value(run)
+        return lambda run: _table(run, name).get(args(run), run.empty) == value(run)
     if isinstance(phi, ResAtom):
         name, args = phi.name, _terms(phi.args, bound)
         if name in shape.rels:
             return lambda run: args(run) in run.rels[name]
-        if shape.tables is None or name not in shape.tables:
-            return _fail(f"no table for relation {name!r}", args)
 
         def row(run):
             vals = args(run)
-            return run.tables[name].get(vals[:-1]) == vals[-1]
+            return _table(run, name).get(vals[:-1]) == vals[-1]
         return row
     if isinstance(phi, Exists):
         return _exists(phi.var, phi.body, shape)
@@ -719,8 +698,24 @@ def _any(plans: list[_Deferred]):
     return disj
 
 
+def _conjuncts(phi: Formula) -> tuple[Formula, ...]:
+    return phi.parts if isinstance(phi, And) else (phi,)
+
+
 def _exists(var: str, body: Formula, shape: _Shape):
-    conjuncts = list(body.parts) if isinstance(body, And) else [body]
+    if var in shape.bound:
+        # var shadows an outer binding: plan the block with var unbound, and
+        # hide the outer value while it runs, so no guard or term reads it
+        plan = _exists(var, body, shape._replace(bound=shape.bound - {var}))
+
+        def shadowed(run):
+            outer = run.binding.pop(var)
+            try:
+                return plan(run)
+            finally:
+                run.binding[var] = outer
+        return shadowed
+    conjuncts = list(_conjuncts(body))
     fvs = [formula_vars(c) for c in conjuncts]
     queue = [var]
     # Splice nested existential conjuncts into a single quantifier block:
@@ -735,7 +730,7 @@ def _exists(var: str, body: Formula, shape: _Shape):
                 and c.var not in shape.bound
                 and not any(c.var in fv for j, fv in enumerate(fvs) if j != i)):
             queue.append(c.var)
-            inner = c.body.parts if isinstance(c.body, And) else (c.body,)
+            inner = _conjuncts(c.body)
             conjuncts[i:i + 1] = inner
             fvs[i:i + 1] = [formula_vars(p) for p in inner]
             continue
@@ -765,9 +760,10 @@ def _block(queue: tuple[str, ...], conjuncts: tuple[Formula, ...], shape: _Shape
     for v, guard, certain, idx in itertools.islice(guards, skip, None):
         rest = tuple(w for w in queue if w != v)
         inner, c = conjuncts, conjuncts[idx]
-        if certain and not isinstance(c, ResAtom) and formula_vars(c).isdisjoint(rest):
-            # every candidate makes the guard's own conjunct true, and no
-            # later binding changes it: it need not be tested again
+        if certain and not isinstance(c, ResAtom):
+            # every candidate makes the guard's own conjunct true, and it
+            # mentions no later block variable, as no block variable is in
+            # shape.bound: it need not be tested again
             inner = conjuncts[:idx] + conjuncts[idx + 1:]
         attempts.append((v, guard, _Deferred(_block, rest, inner, shape.bind(v))))
         if certain:
@@ -790,8 +786,9 @@ def _block(queue: tuple[str, ...], conjuncts: tuple[Formula, ...], shape: _Shape
 def _unguarded(queue, conjuncts, shape):
     for idx, c in enumerate(conjuncts):
         if isinstance(c, Or) and not formula_vars(c).isdisjoint(queue):
+            # an And branch's parts join the conjuncts, so that they can guard
             rest = conjuncts[:idx] + conjuncts[idx + 1:]
-            return _any([_Deferred(_block, queue, rest + (b,), shape) for b in c.parts])
+            return _any([_Deferred(_block, queue, rest + _conjuncts(b), shape) for b in c.parts])
     v = queue[0]
     sub = _Deferred(_block, queue[1:], conjuncts, shape.bind(v))
     message = f"existential over {v!r} has no guard and no object universe"
@@ -838,8 +835,9 @@ def _must_fail(t: Term, bound: frozenset) -> bool:
 def _guards(var: str, conjuncts: tuple[Formula, ...], shape: _Shape):
     """(guard, certain, conjunct index) for var, in the order a block tries
     them.  A guard returns the values its conjunct allows for var, or None
-    when one of its terms fails to evaluate.  It is certain when its terms
-    have all their variables bound; one whose terms must fail is left out."""
+    when one of its terms fails to evaluate or its atom's name has no
+    table.  It is certain when its terms have all their variables bound;
+    one whose terms must fail is left out."""
     v, bound = Variable(var), shape.bound
     for idx, c in enumerate(conjuncts):
         forms = []
@@ -848,14 +846,12 @@ def _guards(var: str, conjuncts: tuple[Formula, ...], shape: _Shape):
         elif isinstance(c, TermEq):
             forms = [((b,), _single) for a, b in ((c.left, c.right), (c.right, c.left))
                      if a == v]
-        elif isinstance(c, DynEq) and shape.tables is None and c.value == v:
+        elif isinstance(c, DynEq) and c.value == v:
             forms = [(c.args, partial(_lookup, c.name))]
         elif isinstance(c, ResAtom) and c.args.count(v) == 1:
-            in_rels = c.name in shape.rels
-            if in_rels or (shape.tables is not None and c.name in shape.tables):
-                fixed = [i for i, a in enumerate(c.args) if a != v]
-                forms = [(tuple(c.args[i] for i in fixed),
-                          partial(_rows, c.name, in_rels, c.args.index(v), fixed))]
+            fixed = [i for i, a in enumerate(c.args) if a != v]
+            forms = [(tuple(c.args[i] for i in fixed),
+                      partial(_rows, c.name, c.name in shape.rels, c.args.index(v), fixed))]
         for terms, values in forms:
             fvs = [free_vars(t) for t in terms]
             if any(var in fv for fv in fvs) or any(
@@ -884,20 +880,24 @@ def _single(run, val):
 
 
 def _lookup(name, run, *args):
-    return (run.state.lookup(name, args),)
+    tbl = run.tables.get(name)
+    return None if tbl is None else (tbl.get(args, run.empty),)
 
 
 def _rows(name, in_rels, pos, fixed, run, *vals):
     if in_rels:
         rows = run.rels[name]
     else:
-        rows = [args + (val,) for args, val in run.tables[name].items()]
+        tbl = run.tables.get(name)
+        if tbl is None:
+            return None
+        rows = [args + (val,) for args, val in tbl.items()]
     return [row[pos] for row in rows if all(row[i] == x for i, x in zip(fixed, vals))]
 
 
 def _pfp_op(phi: PFPOp, shape: _Shape):
     rel, names = phi.rel, phi.vars
-    body = _plan(phi.body, _Shape(shape.bound | set(names), shape.tables, shape.rels | {rel}))
+    body = _plan(phi.body, _Shape(shape.bound | set(names), shape.rels | {rel}))
     args = _terms(phi.args, shape.bound)
 
     def pfp(run):
@@ -929,36 +929,29 @@ def _pfp_op(phi: PFPOp, shape: _Shape):
 # -- stage iteration ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageBody:
-    name: str
-    arg_vars: tuple[str, ...]
-    val_var: str
-    formula: Formula
+def stage_bodies(program: Program) -> list[UpdateFormula]:
+    """One induction body per dynamic name, from its update formula.
 
-
-def stage_bodies(program: Program) -> list[StageBody]:
-    """One induction body per dynamic name, over stage tables."""
+    The next stage relates xs to y != 0 when upd(xs, y) holds, or when
+    f(xs) = y already and no update to f(xs) fires.  The body reads its
+    dynamic atoms from the tables it is evaluated against, so in the
+    induction it reads the previous stage.
+    """
     out = []
-    for fname, arity, _rel in program.signature.dynamics:
-        upd = update_formula(program, fname, mode="table")
+    for fname, _arity, _rel in program.signature.dynamics:
+        upd = update_formula(program, fname)
         xs, y = upd.arg_vars, upd.val_var
-        fresh = FreshNames(rule_variable_names(program.rule) | set(xs) | {y})
-        z = fresh.make("_z")
-        upd_z = update_formula(program, fname, mode="table", arg_vars=xs, val_var=z)
-        row = tuple(Variable(x) for x in xs) + (Variable(y),)
+        # the old entry survives when no update to xs fires: where upd(xs, y)
+        # fails, "upd(xs, z) for some z != y" is just "upd(xs, z) for some z"
         keep = mk_and([
-            ResAtom(fname, row),
-            mk_not(mk_exists(z, mk_and([
-                mk_not(TermEq(Variable(z), Variable(y))),
-                upd_z.formula,
-            ]))),
+            DynEq(fname, tuple(Variable(x) for x in xs), Variable(y)),
+            mk_not(mk_exists(y, upd.formula)),
         ])
         body = mk_and([
             mk_not(TermEq(Variable(y), FALSE_TERM)),
             mk_or([upd.formula, keep]),
         ])
-        out.append(StageBody(fname, xs, y, body))
+        out.append(UpdateFormula(fname, xs, y, body))
     return out
 
 
@@ -988,9 +981,7 @@ def iterate_stages(
     term_state = State(universe, inp, sig, {n: {} for n in sig.dynamic_names()})
     objects = sorted(objects)
     tables: dict[str, dict] = {n: {} for n in sig.dynamic_names()}
-    names = frozenset(tables)
-    bodies = [(sb, _plan(sb.formula, _Shape(frozenset(sb.arg_vars + (sb.val_var,)),
-                                             names, frozenset())))
+    bodies = [(sb, _plan(sb.formula, _Shape(frozenset(sb.arg_vars + (sb.val_var,)), frozenset())))
               for sb in stage_bodies(program)]
     stages = [tables]
     seen = {tables_key(tables): 0}

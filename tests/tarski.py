@@ -2,8 +2,9 @@
 
 Every quantifier and every stage of a fixed-point operator ranges over an
 explicit object list: nothing is guarded, spliced or compiled.  Terms are
-read with `machine.eval_term`, relations being iterated shadow stage
-tables, and a fixed-point operator whose stages never repeat a fixed
+read with `machine.eval_term`; dynamic atoms read one table mapping, the
+given tables or else the state's own, which relations being iterated
+shadow; and a fixed-point operator whose stages never repeat a fixed
 point denotes the empty relation.  It is slow by design: it is the
 definition `pfp.eval_formula` must agree with.
 """
@@ -29,6 +30,7 @@ from cpspace.pfp import (
 def holds(phi, state, binding, objects, tables=None, rels=None) -> bool:
     """Whether phi holds under binding, every quantifier over objects."""
     u = state.universe
+    tables = state.tables if tables is None else tables
 
     def val(t, b):
         return eval_term(state, t, b)
@@ -50,7 +52,7 @@ def holds(phi, state, binding, objects, tables=None, rels=None) -> bool:
             return u.contains(val(phi.container, b), val(phi.elem, b))
         if isinstance(phi, DynEq):
             args = tuple(val(a, b) for a in phi.args)
-            return state.lookup(phi.name, args) == val(phi.value, b)
+            return tables[phi.name].get(args, u.empty) == val(phi.value, b)
         if isinstance(phi, ResAtom):
             row = tuple(val(a, b) for a in phi.args)
             if phi.name in rels:

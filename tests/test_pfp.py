@@ -13,13 +13,14 @@ from randgen import random_triple
 
 from cpspace.machine import (
     MachineError,
+    State,
     initial_state,
     is_consistent,
     make_input,
     parse_input,
     update_set,
 )
-from cpspace.monitor import RunOutcome, load_machine, machine_from_text
+from cpspace.monitor import RunOutcome, load_machine, machine_from_text, run
 from cpspace.pfp import (
     And,
     DynEq,
@@ -42,11 +43,13 @@ from cpspace.pfp import (
     forall_f,
     formula_sexpr,
     formula_vars,
+    iterate_stages,
     mk_and,
     mk_eq,
     mk_exists,
     mk_not,
     mk_or,
+    stage_bodies,
     update_formula,
     value_formula,
 )
@@ -271,15 +274,20 @@ class TestEvaluation:
         assert eval_formula(phi, Env(state, {"y": u.one}, tables=tables))
         assert not eval_formula(phi, Env(state, {"y": u.empty}, tables=tables))
 
-    def test_state_atom_rejected_in_table_mode(self):
+    def test_state_atom_reads_the_given_tables(self):
+        # f(args) = v reads env.tables, not the state, and a missing row
+        # reads as the empty set
         program = prog("skip", header="signature:\n  dynamic c/0\n")
         state = initial_state(program, make_input(2))
-        phi = Exists("w", And((
-            DynEq("c", (), Variable("w")),
-            TermEq(Variable("w"), TRUE),
-        )))
-        with pytest.raises(FormulaError, match="stage tables"):
-            eval_formula(phi, Env(state, {}, tables={"c": {}}, objects=[state.universe.empty]))
+        u = state.universe
+        state.tables["c"][()] = u.atom(0)
+        dyn = DynEq("c", (), Variable("y"))
+        guarded = Exists("w", And((DynEq("c", (), Variable("w")), TermEq(Variable("w"), TRUE))))
+        for tables, value in (({"c": {}}, u.empty), ({"c": {(): u.one}}, u.one)):
+            for y in (u.empty, u.one, u.atom(0)):
+                assert eval_formula(dyn, Env(state, {"y": y}, tables=tables)) == (y == value)
+            assert eval_formula(guarded, Env(state, {}, tables=tables)) == (value == u.one)
+        assert eval_formula(dyn, Env(state, {"y": u.atom(0)}))
 
 
 def lockstep_prefix(result, trace):
@@ -445,10 +453,12 @@ class TestAgainstTarski:
     tests/tarski.py, where every quantifier enumerates an object list."""
 
     def test_update_formulas_of_random_triples(self):
+        # table mode is checked against state mode on every formula, with
+        # the object universe to fall back on as in the stage induction;
         # the brute-force reading costs about |objects| ** (quantifier
-        # depth) per probe, and so does table mode where it falls back on
-        # the object universe; deeper formulas are left to criterion 1,
-        # which checks every state-mode formula against the interpreter
+        # depth) per probe, so it checks shallow formulas only, and deeper
+        # ones are left to criterion 1, which checks every state-mode
+        # formula against the interpreter
         rng = random.Random(20261018)
         checked = 0
         for _ in range(400):
@@ -459,27 +469,103 @@ class TestAgainstTarski:
             for name, arity, _rel in program.signature.dynamics:
                 upds = [update_formula(program, name, mode=mode) for mode in ("state", "table")]
                 depth = max(quantifier_depth(upd.formula) for upd in upds)
-                if depth == 0 or u.size() ** depth > 10 ** 4:
-                    continue
-                checked += 1
+                shallow = u.size() ** depth <= 10 ** 4
+                checked += shallow and depth > 0
                 for args in itertools.product(pool, repeat=arity):
                     for val in pool:
                         bound = dict(binding)
                         bound.update(zip(upds[0].arg_vars, args))
                         bound[upds[0].val_var] = val
                         value = eval_formula(upds[0].formula, Env(state, dict(bound)))
-                        probes.append((upds, bound, value))
+                        probes.append((upds, bound, value, shallow))
             # every witness a state-mode guard allows is interned by now
             objects = list(range(u.size()))
-            for (state_upd, table_upd), bound, value in probes:
-                # as in the stage induction, table mode may fall back on
-                # an object universe
+            for (state_upd, table_upd), bound, value, shallow in probes:
                 env = Env(state, dict(bound), state.tables, objects)
-                assert eval_formula(table_upd.formula, env) == value
-                for upd, tables in ((state_upd, None), (table_upd, state.tables)):
-                    assert tarski.holds(upd.formula, state, bound, objects, tables) == value, (
-                        program.rule, formula_sexpr(upd.formula), bound)
+                assert eval_formula(table_upd.formula, env) == value, (
+                    program.rule, formula_sexpr(table_upd.formula), bound)
+                if shallow:
+                    for upd in (state_upd, table_upd):
+                        assert tarski.holds(upd.formula, state, bound, objects) == value, (
+                            program.rule, formula_sexpr(upd.formula), bound)
         assert checked >= 100
+
+    def test_block_variables_that_shadow_a_binding(self):
+        program = prog("skip", header="signature:\n  dynamic c/0\n")
+        state = initial_state(program, make_input(2))
+        u = state.universe
+        state.tables["c"][()] = u.atom(0)
+        objects = [u.empty, u.one, u.atom(0), u.atom(1), u.mk_set([u.atom(1)])]
+        x, w, q, z = (Variable(v) for v in "xwqz")
+        zero, atoms = Apply("emptyset"), Apply("Atoms")
+        only_x = Comprehension(z, "z", atoms, Apply("=", (z, x)))
+        formulas = [
+            # a guard for w must not read the outer x
+            Exists("x", And((Exists("w", TermEq(w, x)), Not(TermEq(x, zero))))),
+            # nor may a term that is no guard of x, here a comprehension
+            Exists("x", Exists("w", And((Member(w, only_x), TermEq(w, q))))),
+            Exists("x", And((Member(x, atoms), Exists("x", TermEq(x, q))))),
+            Exists("x", And((Member(x, atoms), Not(Exists("x", And((
+                Member(x, atoms), Not(TermEq(x, q))))))))),
+            # the outer value is back once the block is done
+            And((Exists("x", TermEq(x, q)), Member(x, atoms))),
+            Or((Exists("x", And((Member(x, atoms), TermEq(x, zero)))), TermEq(x, q))),
+            # as in a stage body: "f() = y and no update to f fires"
+            And((DynEq("c", (), x), Not(Exists("x", And((TermEq(x, q), Not(TermEq(x, zero)))))))),
+            Exists("x", And((DynEq("c", (), x), Not(TermEq(x, q))))),
+            Exists("x", And((TermEq(x, q), PFPOp("D", ("x",), mk_or([
+                TermEq(x, zero),
+                mk_exists("w", mk_and([Member(w, x), ResAtom("D", (w,))]))]), (x,))))),
+        ]
+        for phi in formulas:
+            for xv, qv in itertools.product(objects, repeat=2):
+                binding = {"x": xv, "q": qv}
+                env = Env(state, dict(binding), objects=objects)
+                assert eval_formula(phi, env) == tarski.holds(phi, state, binding, objects), (
+                    formula_sexpr(phi), binding)
+                assert env.binding == binding
+        # with x bound to 0, x = w = 1 witnesses the first formula
+        env = Env(state, {"x": u.empty}, objects=objects)
+        assert eval_formula(formulas[0], env)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.machine")))
+    def test_stage_bodies_on_the_stages_of_each_fixture(self, name):
+        # each body, read against stage i, holds exactly for the rows of
+        # stage i + 1.  Rows range over the run's objects, as in the
+        # induction, but a witness need not be one of them (a par block's
+        # index sets are not), so the brute-force quantifiers range over
+        # the whole universe.  The runs stop early, as deep never halts.
+        machine = load_machine(FIXTURES / f"{name}.machine")
+        program = machine.program
+        inputs = [make_input(2), make_input(3)]
+        if program.signature.is_input("E"):
+            inputs.append(parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8")))
+        checked = 0
+        for inp in inputs:
+            trace = run(machine, inp, 6)
+            u = trace.final_state.universe
+            objects = sorted(trace.active_union())
+            result = iterate_stages(program, inp, objects, u, max_stages=6)
+            term_state = State(u, inp, program.signature,
+                               {n: {} for n in program.signature.dynamic_names()})
+            probes = []
+            for stage, after in zip(result.stages, result.stages[1:]):
+                for sb in stage_bodies(program):
+                    for args in itertools.product(objects, repeat=len(sb.arg_vars)):
+                        for y in objects:
+                            binding = dict(zip(sb.arg_vars, args))
+                            binding[sb.val_var] = y
+                            env = Env(term_state, dict(binding), stage, objects)
+                            value = eval_formula(sb.formula, env)
+                            assert (after[sb.name].get(args) == y) == value, (name, sb.name)
+                            probes.append((sb.formula, binding, stage, value))
+            universe = list(range(u.size()))
+            for phi, binding, stage, value in probes:
+                if len(universe) ** quantifier_depth(phi) <= 10 ** 4:
+                    checked += 1
+                    assert tarski.holds(phi, term_state, binding, universe, stage) == value, (
+                        name, formula_sexpr(phi), binding)
+        assert checked
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sentences_on_rank_one_fragments(self, n):
@@ -533,7 +619,9 @@ class TestPlans:
         assert eval_formula(shadow, Env(state, {"s": u.empty}))
         assert eval_formula(shadow, Env(state, {}))
 
-    def test_state_and_table_mode_select_the_plan(self):
+    def test_one_plan_reads_the_given_or_the_state_tables(self):
+        # the plan does not depend on which tables are given: dynamic atoms
+        # read env.tables, or the state's tables when there are none
         program = prog("skip", header="signature:\n  dynamic c/0\n")
         state = initial_state(program, make_input(2))
         u = state.universe
@@ -541,29 +629,37 @@ class TestPlans:
         dyn = DynEq("c", (), Variable("y"))
         row = ResAtom("c", (Variable("y"),))
         for _ in range(2):
-            assert eval_formula(dyn, Env(state, {"y": u.one}))
-            with pytest.raises(FormulaError, match="stage tables"):
-                eval_formula(dyn, Env(state, {"y": u.one}, tables={"c": {}}))
-            assert eval_formula(row, Env(state, {"y": u.one}, tables={"c": {(): u.one}}))
-            assert not eval_formula(row, Env(state, {"y": u.one}, tables={"c": {}}))
-            with pytest.raises(FormulaError, match="no table for relation 'c'"):
-                eval_formula(row, Env(state, {"y": u.one}))
+            for phi in (dyn, row):
+                assert eval_formula(phi, Env(state, {"y": u.one}))
+                assert not eval_formula(phi, Env(state, {"y": u.one}, tables={"c": {}}))
+                assert eval_formula(phi, Env(state, {"y": u.one}, tables={"c": {(): u.one}}))
             assert eval_formula(row, Env(state, {"y": u.one}, pfp_rels={"c": {(u.one,)}}))
+            assert not eval_formula(row, Env(state, {"y": u.one}, tables={"c": {}},
+                                             pfp_rels={"c": set()}))
+        assert len(row._plans) == 2 and len(dyn._plans) == 1
 
     def test_errors_are_raised_only_when_reached(self):
         program = prog("skip", header="signature:\n  dynamic c/0\n")
         state = initial_state(program, make_input(2))
+        u = state.universe
         unguarded = Exists("v", Not(TermEq(Variable("v"), TRUE)))
-        state_atom = DynEq("c", (), TRUE)
         holds = TermEq(TRUE, TRUE)
         with pytest.raises(FormulaError, match="no guard and no object universe"):
             eval_formula(Or((TermEq(TRUE, FALSE), unguarded)), Env(state))
         assert eval_formula(Or((holds, unguarded)), Env(state))
-        table_env = Env(state, {}, tables={"c": {}})
-        with pytest.raises(FormulaError, match="stage tables"):
-            eval_formula(Or((TermEq(TRUE, FALSE), state_atom)), table_env)
-        assert eval_formula(Or((holds, state_atom)), table_env)
-        assert not eval_formula(And((Not(holds), state_atom)), table_env)
+        # an atom whose name has no table, read from the state or from the
+        # given tables, raises only when evaluated; its guard yields nothing
+        for atom in (DynEq("e", (), TRUE), ResAtom("e", (TRUE,))):
+            for env in (Env(state), Env(state, {}, tables={"c": {}})):
+                with pytest.raises(FormulaError, match="no table for relation 'e'"):
+                    eval_formula(Or((TermEq(TRUE, FALSE), atom)), env)
+                assert eval_formula(Or((holds, atom)), env)
+                assert not eval_formula(And((Not(holds), atom)), env)
+        guarded = Exists("w", And((DynEq("e", (), Variable("w")), TermEq(Variable("w"), TRUE))))
+        with pytest.raises(FormulaError, match="no table for relation 'e'"):
+            eval_formula(guarded, Env(state, {}, objects=[u.empty, u.one]))
+        with pytest.raises(FormulaError, match="no guard and no object universe"):
+            eval_formula(Exists("w", ResAtom("e", (Variable("w"),))), Env(state))
 
     def test_plans_live_only_as_long_as_their_formulas(self):
         # reference counting alone frees each formula with its plans: no
