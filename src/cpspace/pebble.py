@@ -144,28 +144,40 @@ class Position:
         )
 
 
-def partial_iso(a: GameStructure, b: GameStructure, pairs) -> str | None:
+def partial_iso(
+    a: GameStructure, b: GameStructure, pairs, new: int | None = None
+) -> str | None:
     """None when the pairs respect equality and membership both ways,
-    otherwise a description of the first violated biconditional."""
-    ua, ub = a.universe, b.universe
+    otherwise a description of the first violated biconditional.
+
+    With `new` given, only the combinations involving pairs[new] are
+    checked, in the same order: the caller knows that every other
+    combination holds (the list differs from a checked one in that pair
+    alone), so the first violation and its text are the same.
+    """
     ps = list(pairs)
-    for i, (x1, y1) in enumerate(ps):
-        for x2, y2 in ps[i:]:
-            if (x1 == x2) != (y1 == y2):
-                return (
-                    f"equality broken: {ua.format_literal(x1)} vs {ua.format_literal(x2)} "
-                    f"against {ub.format_literal(y1)} vs {ub.format_literal(y2)}"
-                )
-            if ua.contains(x2, x1) != ub.contains(y2, y1):
-                return (
-                    f"membership broken: {ua.format_literal(x1)} in {ua.format_literal(x2)} "
-                    f"against {ub.format_literal(y1)} in {ub.format_literal(y2)}"
-                )
-            if ua.contains(x1, x2) != ub.contains(y1, y2):
-                return (
-                    f"membership broken: {ua.format_literal(x2)} in {ua.format_literal(x1)} "
-                    f"against {ub.format_literal(y2)} in {ub.format_literal(y1)}"
-                )
+    if new is None:
+        combos = [(p, q) for i, p in enumerate(ps) for q in ps[i:]]
+    else:
+        p = ps[new]
+        combos = [(q, p) for q in ps[:new]] + [(p, q) for q in ps[new:]]
+    ua, ub = a.universe, b.universe
+    for (x1, y1), (x2, y2) in combos:
+        if (x1 == x2) != (y1 == y2):
+            return (
+                f"equality broken: {ua.format_literal(x1)} vs {ua.format_literal(x2)} "
+                f"against {ub.format_literal(y1)} vs {ub.format_literal(y2)}"
+            )
+        if ua.contains(x2, x1) != ub.contains(y2, y1):
+            return (
+                f"membership broken: {ua.format_literal(x1)} in {ua.format_literal(x2)} "
+                f"against {ub.format_literal(y1)} in {ub.format_literal(y2)}"
+            )
+        if ua.contains(x1, x2) != ub.contains(y1, y2):
+            return (
+                f"membership broken: {ua.format_literal(x2)} in {ua.format_literal(x1)} "
+                f"against {ub.format_literal(y2)} in {ub.format_literal(y1)}"
+            )
     return None
 
 
@@ -364,8 +376,12 @@ def verify_duplicator(
                         return [Move("AB"[side], i, x0, None, str(err))]
                     new_pairs = list(pairs)
                     new_pairs[i] = (x0, y0) if side == 0 else (y0, x0)
+                    # every other combination held at this position (the
+                    # pins alone hold in any two universes), so only those
+                    # with the new pair are checked
                     reason = partial_iso(
-                        a, b, pins + tuple(p for p in new_pairs if p is not None)
+                        a, b, pins + tuple(p for p in new_pairs if p is not None),
+                        new=len(pins) + sum(p is not None for p in pairs[:i]),
                     )
                     move = Move("AB"[side], i, x0, y0, reason or "")
                     if reason is not None:
@@ -396,21 +412,46 @@ class SolveResult:
 
 
 class _Board:
-    """Bitmask membership tables for one structure."""
+    """Membership tables for one structure: sparse member and container
+    index lists, and bitmasks over board indices for the objects that
+    appear in a constraint, built when first asked for and kept."""
 
     def __init__(self, s: GameStructure):
         self.size = len(s.objects)
         self.full = (1 << self.size) - 1
         u = s.universe
-        self.elem = [0] * self.size  # bits of the members of object i
-        self.cont = [0] * self.size  # bits of the objects containing i
-        for i, x in enumerate(s.objects):
-            for e in u.elements(x):
-                j = s.index(e)
-                self.elem[i] |= 1 << j
-                self.cont[j] |= 1 << i
+        index = s.index
+        self.members = [tuple(map(index, u.elements(x))) for x in s.objects]
+        containers: list[list[int]] = [[] for _ in s.objects]
+        for i, kids in enumerate(self.members):
+            for j in kids:
+                containers[j].append(i)
+        self.containers = containers
+        self._elem: dict[int, int] = {}
+        self._cont: dict[int, int] = {}
         self.empty = s.index(u.empty)
         self.one = s.index(u.one) if u.one in s else None
+
+    def elem(self, i: int) -> int:
+        """Bits of the members of object i."""
+        mask = self._elem.get(i)
+        if mask is None:
+            mask = self._elem[i] = _bits(self.members[i])
+        return mask
+
+    def cont(self, i: int) -> int:
+        """Bits of the objects containing object i."""
+        mask = self._cont.get(i)
+        if mask is None:
+            mask = self._cont[i] = _bits(self.containers[i])
+        return mask
+
+
+def _bits(indices) -> int:
+    mask = 0
+    for j in indices:
+        mask |= 1 << j
+    return mask
 
 
 def _response_mask(home: _Board, other: _Board, x0: int, pairs) -> int:
@@ -426,8 +467,8 @@ def _response_mask(home: _Board, other: _Board, x0: int, pairs) -> int:
             mask &= bit
         else:
             mask &= ~bit
-        mask &= other.elem[o] if home.elem[h] >> x0 & 1 else ~other.elem[o]
-        mask &= other.cont[o] if home.cont[h] >> x0 & 1 else ~other.cont[o]
+        mask &= other.elem(o) if home.elem(h) >> x0 & 1 else ~other.elem(o)
+        mask &= other.cont(o) if home.cont(h) >> x0 & 1 else ~other.cont(o)
         if not mask:
             return 0
     return mask

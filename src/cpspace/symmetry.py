@@ -16,6 +16,13 @@ and lexicographically within a size, orbit enumeration follows the
 canonical object order, and the builders enforce an object-count budget
 (the CPS_BUDGET environment variable overrides the default) because
 fragment sizes grow doubly exponentially in the rank cutoff.
+
+A fragment build records the first support of every set it generates,
+so `support_within` scans only objects from elsewhere.  The build tries
+candidate fixed sets in the scan's own order, by size and then
+lexicographically, and a union of stabilizer orbits comes up exactly at
+the fixed sets that support it: the first one it comes up at is the one
+the scan would return.
 """
 
 from __future__ import annotations
@@ -125,6 +132,8 @@ def support_within(u: Universe, obj: ObjId, k: int) -> frozenset[AtomId] | None:
 
     Unlike min_support this stays defined when k >= n/2; the result is
     then a deterministic choice among possibly incomparable supports.
+    `build_fragment` fills this memo for the sets it generates, in the
+    same candidate order, so objects of a built fragment skip the scan.
     """
     memo = u.caches.setdefault(("support_within", k), {})
     if obj not in memo:
@@ -430,9 +439,23 @@ def mk_node(pairs) -> Node:
 
 def form_rank(phi: Form) -> int:
     """Mirrors object rank: leaves and the empty node are rank 0."""
-    if isinstance(phi, Leaf) or not phi.pairs:
-        return 0
-    return 1 + max(form_rank(f) for f, _ in phi.pairs)
+    ranks: dict[Form, int] = {}
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if f in ranks:
+            stack.pop()
+        elif isinstance(f, Leaf) or not f.pairs:
+            ranks[f] = 0
+            stack.pop()
+        else:
+            todo = [c for c, _ in f.pairs if c not in ranks]
+            if todo:
+                stack.extend(todo)
+            else:
+                ranks[f] = 1 + max(ranks[c] for c, _ in f.pairs)
+                stack.pop()
+    return ranks[phi]
 
 
 def format_config(config: Config) -> str:
@@ -575,25 +598,53 @@ def form_apply(u: Universe, phi: Form, sigma) -> ObjId:
 
 
 def _apply(u: Universe, phi: Form, sigma: Molecule, memo) -> ObjId:
-    key = (phi, sigma)
-    got = memo.get(key)
+    """form_apply over an explicit stack of nodes, children first."""
+    got = memo.get((phi, sigma))
     if got is not None:
         return got
     if isinstance(phi, Leaf):
-        if not 0 <= phi.pos < len(sigma):
-            raise SymmetryError(f"leaf position {phi.pos} outside molecule {sigma}")
-        val = u.atom(sigma[phi.pos])
-    else:
-        k = len(sigma)
-        elems = []
-        for child, config in phi.pairs:
+        return _apply_leaf(u, phi, sigma, memo)
+    # (configuration, molecule) -> the molecules tau with conf((tau, sigma))
+    # equal to it, in permutation order; one entry per pair of molecules
+    matching = u.caches.setdefault("config_matches", {})
+
+    def members(node: Node, sig: Molecule):
+        k = len(sig)
+        for child, config in node.pairs:
             if config.ell != 2 or config.k != k:
                 raise SymmetryError("node configuration is not over two k-molecules")
-            for tau in itertools.permutations(range(u.n_atoms), k):
-                if _config_matches(tau, sigma, config):
-                    elems.append(_apply(u, child, tau, memo))
-        val = u.mk_set(elems)
-    memo[key] = val
+            taus = matching.get((config, sig))
+            if taus is None:
+                taus = matching[config, sig] = tuple(
+                    tau for tau in itertools.permutations(range(u.n_atoms), k)
+                    if _config_matches(tau, sig, config)
+                )
+            for tau in taus:
+                yield child, tau
+
+    stack = [(phi, sigma, members(phi, sigma), [])]
+    while True:
+        node, sig, todo, elems = stack[-1]
+        for child, tau in todo:
+            got = memo.get((child, tau))
+            if got is None:
+                if not isinstance(child, Leaf):
+                    stack.append((child, tau, members(child, tau), []))
+                    break
+                got = _apply_leaf(u, child, tau, memo)
+            elems.append(got)
+        else:
+            val = memo[node, sig] = u.mk_set(elems)
+            stack.pop()
+            if not stack:
+                return val
+            stack[-1][3].append(val)
+
+
+def _apply_leaf(u: Universe, leaf: Leaf, sigma: Molecule, memo) -> ObjId:
+    if not 0 <= leaf.pos < len(sigma):
+        raise SymmetryError(f"leaf position {leaf.pos} outside molecule {sigma}")
+    val = memo[leaf, sigma] = u.atom(sigma[leaf.pos])
     return val
 
 
@@ -601,15 +652,21 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
     """Decompose a k-symmetric object as (form, molecule).
 
     The molecule lists a smallest support in atom order, padded to
-    length k with the smallest atoms outside it; children recurse the
-    same way and record their configuration against the parent.
+    length k with the smallest atoms outside it; children are decomposed
+    the same way, first, and record their configuration against the
+    parent.  Walks an explicit stack, so deep objects need no recursion.
     """
     memo = u.caches.setdefault(("form_of", k), {})
+    got = memo.get(x)
+    if got is not None:
+        return got
+    # (child molecule, molecule) -> conf of the two: one entry per pair
+    # of molecules, whatever the number of objects
+    configs = u.caches.setdefault("conf_pairs", {})
+    stack: list = []
 
-    def go(y: ObjId) -> tuple[Form, Molecule]:
-        got = memo.get(y)
-        if got is not None:
-            return got
+    def enter(y: ObjId) -> bool:
+        """Decompose an atom at once; push a set's frame.  True if pushed."""
         if u.is_atom(y):
             # An atom anchors its own molecule; a vacuous support (every
             # transposition avoiding it is trivial at tiny n) would not
@@ -618,25 +675,39 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
                 raise NotKSymmetric(y, k)
             a = u.atom_index(y)
             sigma = padded_molecule(u, (a,), k)
-            phi: Form = Leaf(sigma.index(a))
-        else:
-            supp = support_within(u, y, k)
-            if supp is None:
-                raise NotKSymmetric(y, k)
-            sigma = padded_molecule(u, supp, k)
-            configs: dict[Molecule, Config] = {}  # one conf per child molecule
-            pairs = []
-            for e in u.elements(y):
-                child, child_sigma = go(e)
-                config = configs.get(child_sigma)
-                if config is None:
-                    config = configs[child_sigma] = conf((child_sigma, sigma))
-                pairs.append((child, config))
-            phi = mk_node(pairs)
-        memo[y] = (phi, sigma)
-        return phi, sigma
+            memo[y] = (Leaf(sigma.index(a)), sigma)
+            return False
+        supp = support_within(u, y, k)
+        if supp is None:
+            raise NotKSymmetric(y, k)
+        stack.append((y, padded_molecule(u, supp, k), iter(u.elements(y)), []))
+        return True
 
-    return go(x)
+    def pair(child: tuple[Form, Molecule], sigma: Molecule) -> tuple[Form, Config]:
+        phi, child_sigma = child
+        config = configs.get((child_sigma, sigma))
+        if config is None:
+            config = configs[child_sigma, sigma] = conf((child_sigma, sigma))
+        return phi, config
+
+    if not enter(x):
+        return memo[x]
+    while True:
+        y, sigma, todo, pairs = stack[-1]
+        for e in todo:
+            got = memo.get(e)
+            if got is None:
+                if enter(e):
+                    break
+                got = memo[e]
+            pairs.append(pair(got, sigma))
+        else:
+            got = memo[y] = (mk_node(pairs), sigma)
+            stack.pop()
+            if not stack:
+                return got
+            _, parent_sigma, _, parent_pairs = stack[-1]
+            parent_pairs.append(pair(got, parent_sigma))
 
 
 # -- fragments ----------------------------------------------------------------
@@ -810,6 +881,12 @@ def build_fragment(
     by X is exactly a union of orbits of the pointwise stabilizer of X,
     so the level enumerates orbit unions per candidate X instead of the
     full powerset; the object-count budget caps the enumeration.
+
+    Candidates X come by size, then lexicographically, as in the
+    support scan, and a union is generated at exactly the X that support
+    it; so the X a set is first generated at is its `support_within`.
+    When the universe has n atoms the build records it there at the end
+    of each level, and frozenset() for the empty set.
     """
     if n < 0 or k < 0 or r < 0:
         raise SymmetryError("fragment parameters must be non-negative")
@@ -818,15 +895,18 @@ def build_fragment(
     acc: set[ObjId] = set(u.atoms())
     acc.add(u.empty)
     ordered = sorted(acc, key=u.sort_key)
+    supports = u.caches.setdefault(("support_within", k), {}) if u.n_atoms == n else {}
+    supports.setdefault(u.empty, frozenset())
     for _level in range(r):
         bottom_up = _bottom_up(u, ordered)
         maps = {
             (a, b): _images(u, transposition(n, a, b), bottom_up)
             for a, b in itertools.combinations(range(n), 2)
         }
-        new: set[ObjId] = set()
+        new: dict[ObjId, frozenset[AtomId]] = {}  # each set's first support
         for size in range(min(k, n) + 1):
             for fixed in itertools.combinations(range(n), size):
+                support = frozenset(fixed)
                 orbits = _stabilizer_orbits(u, fixed, ordered, maps)
                 if len(orbits) >= 60 or (1 << len(orbits)) > 4 * cap:
                     raise BudgetExceeded(
@@ -842,12 +922,13 @@ def build_fragment(
                             elems.extend(orbits[idx])
                         m >>= 1
                         idx += 1
-                    new.add(u.mk_set(elems))
+                    new.setdefault(u.mk_set(elems), support)
                     if len(acc) + len(new) > cap:
                         raise BudgetExceeded(
                             f"fragment ({n},{k},{r}) exceeds the budget of {cap} objects"
                         )
-        acc |= new
+        acc.update(new)
+        supports.update(new)  # a set made again at a later level has the same support
         ordered = sorted(acc, key=u.sort_key)
     return SymmetricFragment(u, n, k, r, tuple(ordered))
 

@@ -1,7 +1,10 @@
 """Pebble-game tests: structures, the form strategy, verifier, solver."""
 
+import random
+
 import pytest
 
+from cpspace import pebble
 from cpspace.hf import Universe
 from cpspace.pebble import (
     DuplicatorState,
@@ -10,6 +13,7 @@ from cpspace.pebble import (
     NoExtension,
     PebbleError,
     Position,
+    _Board,
     duplicator_respond,
     partial_iso,
     pin_pairs,
@@ -104,6 +108,37 @@ class TestPartialIso:
         pairs = pin_pairs(a, a) + ((u.empty, u.one),)
         assert partial_iso(a, a, pairs) is not None
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_new_pair_check_matches_the_full_check(self, n):
+        # grow random consistent lists, then put one more pair at every
+        # position: a random pair, a copy of a listed pair, or a listed
+        # A-side object with a random partner
+        rng = random.Random(n)
+        a, b = struct(2, 1, 1), struct(n, 1, 1)
+        pool_a, pool_b = a.objects, b.objects
+        checked = broken = 0
+        for _ in range(40):
+            ps = list(pin_pairs(a, b))
+            for _ in range(rng.randrange(1, 6)):
+                for _ in range(20):
+                    pair = (rng.choice(pool_a), rng.choice(pool_b))
+                    if partial_iso(a, b, ps + [pair]) is None:
+                        ps.append(pair)
+                        break
+            assert partial_iso(a, b, ps) is None
+            for t in range(len(ps) + 1):
+                for pair in (
+                    (rng.choice(pool_a), rng.choice(pool_b)),
+                    rng.choice(ps),
+                    (rng.choice(ps)[0], rng.choice(pool_b)),
+                ):
+                    trial = ps[:t] + [pair] + ps[t:]
+                    want = partial_iso(a, b, trial)
+                    assert partial_iso(a, b, trial, new=t) == want
+                    checked += 1
+                    broken += want is not None
+        assert broken > checked // 4 and broken < checked
+
 
 class TestDuplicatorRespond:
     def test_first_move_empty_set(self):
@@ -186,6 +221,23 @@ class TestVerifyDuplicator:
         assert 1 <= len(report.counterexample) <= 3
         lines = report.describe(a, b)
         assert "does not survive" in lines[0]
+
+    def test_reports_equal_those_of_the_full_check(self, monkeypatch):
+        # the verifier checks only the combinations with the new pair;
+        # checking them all must give the same move counts and traces
+        cases = [
+            (struct(2, 1, 1), struct(3, 1, 1), 3, 3),
+            (struct(3, 1, 1), struct(2, 1, 1), 3, 3),
+            (struct(3, 1, 1), struct(4, 1, 1), 2, 2),
+            (struct(4, 2, 1), struct(5, 2, 1), 2, 2),
+        ]
+        fast = [verify_duplicator(*case) for case in cases]
+        full = partial_iso
+        monkeypatch.setattr(
+            pebble, "partial_iso", lambda a, b, pairs, new=None: full(a, b, pairs)
+        )
+        assert [verify_duplicator(*case) for case in cases] == fast
+        assert [report.survived for report in fast] == [False, False, True, False]
 
     def test_missing_constant_caught_at_depth_one(self):
         # spoiler pebbles 1 and the answer is off the board
@@ -286,6 +338,22 @@ class TestSolveGame:
         s = struct(3, 1, 1)
         with pytest.raises(BudgetExceeded):
             solve_game(s, s, 2, 3, node_budget=10)
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (2, 2)])
+    def test_lazy_masks_equal_eager_masks(self, n, r):
+        s = struct(n, 1, r)
+        u = s.universe
+        elem, cont = [0] * len(s), [0] * len(s)
+        for i, x in enumerate(s.objects):
+            for e in u.elements(x):
+                j = s.index(e)
+                elem[i] |= 1 << j
+                cont[j] |= 1 << i
+        board = _Board(s)
+        for i in range(len(s)):
+            assert board.elem(i) == elem[i]
+            assert board.cont(i) == cont[i]
+            assert board.elem(i) is board.elem(i)  # built once, then kept
 
     def test_depth_zero(self):
         s = struct(3, 1, 1)

@@ -12,6 +12,7 @@ from cpspace.machine import make_input
 from cpspace.monitor import load_machine, run
 from cpspace.symmetry import (
     _CONFIGS,
+    _first_support,
     BudgetExceeded,
     Config,
     EMPTY_FORM,
@@ -464,6 +465,15 @@ class TestFormOf:
         wit = info.value.witness
         assert u.is_set(wit) and len(u.elements(wit)) == 2
 
+    def test_deep_chain_needs_no_recursion(self):
+        u = Universe(3)
+        c = u.empty
+        for _ in range(1500):
+            c = u.mk_set([c])
+        phi, sigma = form_of(u, c, 1)
+        assert form_apply(u, phi, sigma) == c
+        assert form_rank(phi) == 1500
+
     def test_zero_positions_reject_atoms(self):
         u = Universe(3)
         with pytest.raises(NotKSymmetric):
@@ -503,9 +513,38 @@ class TestFragments:
             for size in range(len(level0) + 1):
                 for combo in itertools.combinations(level0, size):
                     s = u.mk_set(combo)
-                    if support_within(u, s, k) is not None:
+                    # the scan itself: support_within would read the
+                    # supports this build recorded
+                    if _first_support(u, s, k) is not None:
                         want.add(s)
             assert set(frag.objects) == want
+
+    @pytest.mark.parametrize("n,k,r", [
+        (2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1), (2, 1, 2), (3, 1, 2),
+        (3, 2, 1), (4, 2, 1), (5, 2, 1), (6, 2, 1),
+    ])
+    def test_build_records_the_first_supports(self, n, k, r):
+        frag = build_fragment(n, k, r)
+        u = frag.universe
+        recorded = u.caches[("support_within", k)]
+        sets = [x for x in frag.objects if not u.is_atom(x)]
+        assert set(recorded) == set(sets)
+        for x in sets:
+            assert recorded[x] == _first_support(u, x, min(k, n)), x
+
+    def test_supports_recorded_before_the_budget_stops_the_build(self):
+        # the level the budget stops records nothing; earlier ones stay
+        u = Universe(3)
+        with pytest.raises(BudgetExceeded):
+            build_fragment(3, 1, 2, budget=20_000, universe=u)
+        recorded = u.caches[("support_within", 1)]
+        level1 = build_fragment(3, 1, 1)
+        assert sorted(map(u.format_literal, recorded)) == sorted(
+            level1.universe.format_literal(x) for x in level1.objects
+            if not level1.universe.is_atom(x)
+        )
+        for x, supp in recorded.items():
+            assert supp == _first_support(u, x, 1), x
 
     def test_objects_are_transitive_and_orbit_closed(self):
         for n, k, r in [(3, 1, 1), (4, 2, 1), (2, 1, 2)]:
