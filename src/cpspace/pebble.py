@@ -9,6 +9,12 @@ duplicator here is not a search: it carries a concrete strategy that
 decomposes the spoiler's object into a form and a molecule, transports
 the molecule to the other side so the atom pattern against the other
 placed molecules matches, and answers with the form applied there.
+Forms are interned (see `symmetry`), so the work per move is a few
+dict probes: the spoiler object's (form, molecule) from the `form_of`
+memo, the answer molecule from a per-universe cache keyed by the
+spoiler's molecule and the rows of the other placed molecules on both
+sides, and the answer object from the `form_apply` memo keyed by
+(form, molecule).
 
 `verify_duplicator` drives that strategy through every spoiler sequence
 up to a depth and checks the partial-isomorphism condition after each
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .hf import ObjId, Universe
 from .symmetry import (
@@ -30,7 +37,6 @@ from .symmetry import (
     Molecule,
     SymmetricFragment,
     form_apply,
-    form_key,
     form_of,
     resolve_budget,
 )
@@ -155,12 +161,12 @@ def partial_iso(
     combination holds (the list differs from a checked one in that pair
     alone), so the first violation and its text are the same.
     """
-    ps = list(pairs)
+    ps = tuple(pairs)
     if new is None:
-        combos = [(p, q) for i, p in enumerate(ps) for q in ps[i:]]
+        combos = ((p, q) for i, p in enumerate(ps) for q in ps[i:])
     else:
-        p = ps[new]
-        combos = [(q, p) for q in ps[:new]] + [(p, q) for q in ps[new:]]
+        p = itertools.repeat(ps[new])
+        combos = itertools.chain(zip(ps[:new], p), zip(p, ps[new:]))
     ua, ub = a.universe, b.universe
     for (x1, y1), (x2, y2) in combos:
         if (x1 == x2) != (y1 == y2):
@@ -168,6 +174,8 @@ def partial_iso(
                 f"equality broken: {ua.format_literal(x1)} vs {ua.format_literal(x2)} "
                 f"against {ub.format_literal(y1)} vs {ub.format_literal(y2)}"
             )
+        if x1 == x2:
+            continue  # no set contains itself, on either side
         if ua.contains(x2, x1) != ub.contains(y2, y1):
             return (
                 f"membership broken: {ua.format_literal(x1)} in {ua.format_literal(x2)} "
@@ -183,21 +191,24 @@ def partial_iso(
 
 # -- the duplicator's strategy ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PebblePair:
+class PebblePair(NamedTuple):
     """One placed pebble: a shared form with a molecule on each side."""
 
     phi: Form
     sigma_a: Molecule
     sigma_b: Molecule
 
-    def key(self):
-        return (form_key(self.phi), self.sigma_a, self.sigma_b)
+
+def _entry_order(e: PebblePair):
+    return (id(e.phi), e.sigma_a, e.sigma_b)
 
 
-@dataclass(frozen=True)
-class DuplicatorState:
-    """Per-pebble strategy data; None marks an unplaced pebble."""
+class DuplicatorState(NamedTuple):
+    """Per-pebble strategy data; None marks an unplaced pebble.
+
+    Both records are named tuples: the verifier makes one of each per
+    spoiler move.
+    """
 
     entries: tuple[PebblePair | None, ...]
 
@@ -206,9 +217,11 @@ class DuplicatorState:
         return cls((None,) * m)
 
     def key(self):
-        # pebble identity is irrelevant to the strategy, so sort
-        unplaced = ((-1,), (), ())
-        return tuple(sorted((unplaced if e is None else e.key()) for e in self.entries))
+        """The placed entries as a multiset: pebble identity is irrelevant
+        to the strategy.  Forms are interned, so each stands for itself;
+        the order by form identity only makes the key canonical within a
+        process, and the key holds its forms, so no identity is reused."""
+        return tuple(sorted((e for e in self.entries if e is not None), key=_entry_order))
 
     def objects(self, a: GameStructure, b: GameStructure):
         """The placed (A-object, B-object) pairs, in pebble order."""
@@ -240,6 +253,29 @@ def _patterns_match(lead_a, rows_a, lead_b, rows_b) -> bool:
     return True
 
 
+def _answer_molecule(u: Universe, sigma0: Molecule, rows_home, rows_other):
+    """The lex smallest molecule over u's atoms whose pattern against
+    rows_other copies that of sigma0 against rows_home, or None.
+
+    It depends on nothing but its arguments, so it is computed once per
+    (sigma0, rows_home, rows_other) and kept in u's caches: with one
+    pebble that is one scan per molecule, not one per move.
+    """
+    cache = u.caches.setdefault("duplicator_answer", {})
+    key = (sigma0, rows_home, rows_other)
+    if key in cache:
+        return cache[key]
+    answer = cache[key] = next(
+        (
+            tau0
+            for tau0 in itertools.permutations(range(u.n_atoms), len(sigma0))
+            if _patterns_match(sigma0, rows_home, tau0, rows_other)
+        ),
+        None,
+    )
+    return answer
+
+
 def duplicator_respond(
     a: GameStructure,
     b: GameStructure,
@@ -254,6 +290,9 @@ def duplicator_respond(
     The spoiler's object is decomposed into form and molecule; the lex
     smallest molecule on the other side whose pattern against the other
     placed molecules matches is used to transport the form across.
+    That molecule is cached per row pattern (`_answer_molecule`), and
+    the answer object comes from the other universe's `form_apply` memo,
+    keyed by (form, molecule), once it has been applied there.
     """
     home, other = (a, b) if side == 0 else (b, a)
     if x0 not in home:
@@ -268,17 +307,14 @@ def duplicator_respond(
             continue
         rows_home.append(e.sigma_a if side == 0 else e.sigma_b)
         rows_other.append(e.sigma_b if side == 0 else e.sigma_a)
-    answer = None
-    for tau0 in itertools.permutations(range(other.universe.n_atoms), home.k):
-        if _patterns_match(sigma0, rows_home, tau0, rows_other):
-            answer = tau0
-            break
+    ou = other.universe
+    answer = _answer_molecule(ou, sigma0, tuple(rows_home), tuple(rows_other))
     if answer is None:
         raise NoExtension(
-            f"no {home.k}-molecule over {other.universe.n_atoms} atoms matches "
+            f"no {home.k}-molecule over {ou.n_atoms} atoms matches "
             f"the pattern of {home.literal(x0)}"
         )
-    y0 = form_apply(other.universe, phi0, answer)
+    y0 = form_apply(ou, phi0, answer)
     if y0 not in other:
         raise NoExtension(
             f"transported object {other.literal(y0)} is not on the board"
@@ -364,6 +400,9 @@ def verify_duplicator(
         seen.add(key)
         for side, home in ((0, a), (1, b)):
             for i in range(m):
+                # the placed pairs around pebble i, in pebble order
+                head = pins + tuple(p for p in pairs[:i] if p is not None)
+                tail = tuple(p for p in pairs[i + 1:] if p is not None)
                 for x0 in home.objects:
                     nodes += 1
                     if nodes > cap:
@@ -374,21 +413,20 @@ def verify_duplicator(
                         new_state, y0 = duplicator_respond(a, b, state, side, i, x0)
                     except NoExtension as err:
                         return [Move("AB"[side], i, x0, None, str(err))]
-                    new_pairs = list(pairs)
-                    new_pairs[i] = (x0, y0) if side == 0 else (y0, x0)
+                    pair = (x0, y0) if side == 0 else (y0, x0)
                     # every other combination held at this position (the
                     # pins alone hold in any two universes), so only those
                     # with the new pair are checked
-                    reason = partial_iso(
-                        a, b, pins + tuple(p for p in new_pairs if p is not None),
-                        new=len(pins) + sum(p is not None for p in pairs[:i]),
-                    )
-                    move = Move("AB"[side], i, x0, y0, reason or "")
+                    reason = partial_iso(a, b, head + (pair,) + tail, new=len(head))
                     if reason is not None:
-                        return [move]
-                    tail = walk(new_state, new_pairs, depth_left - 1)
-                    if tail is not None:
-                        return [move] + tail
+                        return [Move("AB"[side], i, x0, y0, reason)]
+                    if depth_left == 1:
+                        continue
+                    new_pairs = list(pairs)
+                    new_pairs[i] = pair
+                    rest = walk(new_state, new_pairs, depth_left - 1)
+                    if rest is not None:
+                        return [Move("AB"[side], i, x0, y0)] + rest
         return None
 
     trace = walk(DuplicatorState.fresh(m), [None] * m, depth)

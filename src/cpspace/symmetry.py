@@ -17,6 +17,12 @@ canonical object order, and the builders enforce an object-count budget
 (the CPS_BUDGET environment variable overrides the default) because
 fragment sizes grow doubly exponentially in the rank cutoff.
 
+Forms are interned: `mk_node` keeps one live object per set of
+(child, configuration) pairs, and `Leaf(p)` one per position, so equal
+forms are the same object and compare and hash by identity.  The
+intern table holds its nodes weakly: a form lives as long as something
+uses it (a memo of a universe, a caller) and no longer.
+
 A fragment build records the first support of every set it generates,
 so `support_within` scans only objects from elsewhere.  The build tries
 candidate fixed sets in the scan's own order, by size and then
@@ -30,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass
 
 from .hf import AtomId, ObjId, Perm, Universe, transposition
@@ -250,7 +257,8 @@ def padded_molecule(u: Universe, support, k: int) -> Molecule:
     supp = sorted(support)
     if len(supp) > k:
         raise SymmetryError(f"support {supp} larger than k={k}")
-    pad = [a for a in range(u.n_atoms) if a not in set(supp)]
+    inside = set(supp)
+    pad = [a for a in range(u.n_atoms) if a not in inside]
     need = k - len(supp)
     if need > len(pad):
         raise NotEnoughAtoms(f"cannot pad a molecule to length {k} over {u.n_atoms} atoms")
@@ -269,14 +277,19 @@ class Config:
 
     `conf` interns configurations: every request for one equality
     pattern gets the same object, which `make_config` builds and
-    validates once.
+    validates once.  The hash is computed once, at construction, since
+    configurations sit in the keys of the form intern table and memos.
     """
 
     ell: int
     k: int
     blocks: tuple[tuple[tuple[int, int], ...], ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
     def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.ell, self.k, self.blocks)))
         grid = {(i, p) for i in range(self.ell) for p in range(self.k)}
         seen: set[tuple[int, int]] = set()
         for block in self.blocks:
@@ -388,53 +401,89 @@ def all_configs2(k: int) -> tuple[Config, ...]:
 
 # -- forms -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# The one Leaf of each position.  Positions are small: at most k per form.
+_LEAVES: dict[int, "Leaf"] = {}
+
+
 class Leaf:
-    """Form denoting sigma(pos) for the molecule it is applied to."""
+    """Form denoting sigma(pos) for the molecule it is applied to.
 
-    pos: int
+    One object per position: ``Leaf(p)`` always returns the same leaf,
+    so leaves, like nodes, compare and hash by identity.
+    """
+
+    __slots__ = ("pos", "_key")
+
+    def __new__(cls, pos: int) -> "Leaf":
+        leaf = _LEAVES.get(pos)
+        if leaf is None:
+            leaf = _LEAVES[pos] = super().__new__(cls)
+            leaf.pos = pos
+            leaf._key = (0, pos)
+        return leaf
+
+    def __repr__(self) -> str:
+        return f"Leaf(pos={self.pos})"
 
 
-@dataclass(frozen=True, eq=False)
 class Node:
     """Form denoting a set: one (child form, two-row configuration) pair
     per class of members, canonically ordered and duplicate-free.
 
-    Nodes sit in memo tables keyed by form, so the structural key and
-    hash are computed once at construction (children reuse theirs).
+    Built only through `mk_node`, which interns nodes: equal nodes are
+    one object, so a node compares and hashes by identity.  `_key`
+    serves only `form_key`'s canonical order.
     """
 
-    pairs: tuple[tuple["Form", Config], ...]
+    __slots__ = ("pairs", "_key", "__weakref__")
 
-    def __post_init__(self):
-        key = (1, tuple((form_key(f), c.blocks) for f, c in self.pairs))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, pairs: tuple[tuple["Form", Config], ...], key: tuple):
+        self.pairs = pairs
+        self._key = key
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Node) and self._key == other._key
+    def __repr__(self) -> str:
+        return f"Node(pairs={self.pairs!r})"
 
 
 Form = Leaf | Node
 
 
 def form_key(phi: Form):
-    if isinstance(phi, Leaf):
-        return (0, phi.pos)
+    """The structural key of a form, which orders forms canonically:
+    (0, pos) for a leaf, and for a node 1 followed by the child key and
+    configuration blocks of each pair, in pair order."""
     return phi._key
 
 
-EMPTY_FORM = Node(())
+def _pair_order(pair: tuple[Form, Config]):
+    return (pair[0]._key, pair[1].blocks)
+
+
+# Interned nodes: the one live Node for each set of (child form,
+# configuration) pairs.  Children are interned first, so a key hashes by
+# child identity and the configuration's stored hash.  Values are weak
+# references: an entry goes when its node is no longer used.
+_NODES: "weakref.WeakValueDictionary[frozenset, Node]" = weakref.WeakValueDictionary()
 
 
 def mk_node(pairs) -> Node:
-    canon = sorted(set(pairs), key=lambda fc: (form_key(fc[0]), fc[1].blocks))
-    return Node(tuple(canon))
+    """The one live node whose pairs are this set, made on first request.
+
+    A lookup in the intern table comes first; only a new form pays for
+    the canonical sort by (child key, configuration blocks).  The table
+    holds nodes weakly, so a form lives exactly as long as something
+    else (a universe's memo, a caller) holds it.
+    """
+    key = frozenset(pairs)
+    node = _NODES.get(key)
+    if node is None:
+        ordered = tuple(sorted(key, key=_pair_order))
+        flat = itertools.chain.from_iterable(map(_pair_order, ordered))
+        node = _NODES[key] = Node(ordered, (1, *flat))
+    return node
+
+
+EMPTY_FORM = mk_node(())
 
 
 def form_rank(phi: Form) -> int:
@@ -467,14 +516,25 @@ def format_config(config: Config) -> str:
 
 
 def format_form(phi: Form) -> str:
-    if isinstance(phi, Leaf):
-        return f"c{phi.pos}"
-    if not phi.pairs:
-        return "{}"
-    inner = ", ".join(
-        f"({format_form(f)}, {format_config(c)})" for f, c in phi.pairs
-    )
-    return "{" + inner + "}"
+    """The text of a form, written over an explicit stack so that deep
+    forms need no recursion."""
+    out: list[str] = []
+    stack: list = [phi]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(f"c{item.pos}")
+        elif not item.pairs:
+            out.append("{}")
+        else:
+            parts: list = ["{"]
+            for i, (f, c) in enumerate(item.pairs):
+                parts += [", (" if i else "(", f, f", {format_config(c)})"]
+            parts.append("}")
+            stack.extend(reversed(parts))
+    return "".join(out)
 
 
 class _Cursor:
@@ -538,34 +598,37 @@ def _parse_config(cur: _Cursor) -> Config:
     )
 
 
-def _parse_form(cur: _Cursor) -> Form:
-    ch = cur.peek()
-    if ch == "c":
-        cur.expect("c")
-        return Leaf(cur.number())
-    cur.expect("{")
-    if cur.peek() == "}":
-        cur.expect("}")
-        return EMPTY_FORM
-    pairs = []
-    while True:
-        cur.expect("(")
-        f = _parse_form(cur)
-        cur.expect(",")
-        c = _parse_config(cur)
-        cur.expect(")")
-        pairs.append((f, c))
-        if cur.peek() == ",":
-            cur.expect(",")
-            continue
-        break
-    cur.expect("}")
-    return mk_node(pairs)
-
-
 def parse_form(text: str) -> Form:
+    """Read a form from its text, over an explicit stack of open nodes
+    (each with the pairs read so far), so deep forms need no recursion."""
     cur = _Cursor(text)
-    phi = _parse_form(cur)
+    open_nodes: list[list[tuple[Form, Config]]] = []
+    while True:
+        if cur.peek() == "c":
+            cur.expect("c")
+            phi = Leaf(cur.number())
+        else:
+            cur.expect("{")
+            if cur.peek() != "}":
+                cur.expect("(")
+                open_nodes.append([])
+                continue
+            cur.expect("}")
+            phi = EMPTY_FORM
+        # phi is complete: it ends a pair of the innermost open node,
+        # which either reads its next child or closes in turn
+        while open_nodes:
+            cur.expect(",")
+            open_nodes[-1].append((phi, _parse_config(cur)))
+            cur.expect(")")
+            if cur.peek() == ",":
+                cur.expect(",")
+                cur.expect("(")
+                break
+            cur.expect("}")
+            phi = mk_node(open_nodes.pop())
+        else:
+            break
     cur.skip_ws()
     if cur.pos != len(text):
         raise SymmetryError(f"trailing junk in form literal at offset {cur.pos}")
@@ -592,9 +655,15 @@ def _config_matches(tau, sigma, config: Config) -> bool:
 
 def form_apply(u: Universe, phi: Form, sigma) -> ObjId:
     """Evaluate the form at a molecule: a leaf picks an atom of sigma, a
-    node unions each child over every molecule inducing its configuration."""
-    sigma = check_molecule(u, sigma)
-    return _apply(u, phi, sigma, u.caches.setdefault("form_apply", {}))
+    node unions each child over every molecule inducing its configuration.
+    Memoised per universe by (form, molecule); forms are interned, so a
+    probe hashes the form by identity."""
+    memo = u.caches.setdefault("form_apply", {})
+    # only checked molecules reach the memo, so a hit needs no check
+    got = memo.get((phi, sigma)) if isinstance(sigma, tuple) else None
+    if got is not None:
+        return got
+    return _apply(u, phi, check_molecule(u, sigma), memo)
 
 
 def _apply(u: Universe, phi: Form, sigma: Molecule, memo) -> ObjId:
@@ -700,7 +769,11 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
                 if enter(e):
                     break
                 got = memo[e]
-            pairs.append(pair(got, sigma))
+            phi, child_sigma = got  # pair(got, sigma), inlined on the hot path
+            config = configs.get((child_sigma, sigma))
+            if config is None:
+                config = configs[child_sigma, sigma] = conf((child_sigma, sigma))
+            pairs.append((phi, config))
         else:
             got = memo[y] = (mk_node(pairs), sigma)
             stack.pop()
@@ -885,17 +958,21 @@ def build_fragment(
     Candidates X come by size, then lexicographically, as in the
     support scan, and a union is generated at exactly the X that support
     it; so the X a set is first generated at is its `support_within`.
-    When the universe has n atoms the build records it there at the end
-    of each level, and frozenset() for the empty set.
+    The build records it there at the end of each level, and frozenset()
+    for the empty set.  A given universe must have exactly n atoms.
     """
     if n < 0 or k < 0 or r < 0:
         raise SymmetryError("fragment parameters must be non-negative")
+    if universe is not None and universe.n_atoms != n:
+        raise SymmetryError(
+            f"universe has {universe.n_atoms} atoms, fragment needs n={n}"
+        )
     cap = resolve_budget(budget)
     u = universe if universe is not None else Universe(n)
     acc: set[ObjId] = set(u.atoms())
     acc.add(u.empty)
     ordered = sorted(acc, key=u.sort_key)
-    supports = u.caches.setdefault(("support_within", k), {}) if u.n_atoms == n else {}
+    supports = u.caches.setdefault(("support_within", k), {})
     supports.setdefault(u.empty, frozenset())
     for _level in range(r):
         bottom_up = _bottom_up(u, ordered)

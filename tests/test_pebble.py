@@ -1,5 +1,6 @@
 """Pebble-game tests: structures, the form strategy, verifier, solver."""
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from cpspace.pebble import (
     solve_game,
     verify_duplicator,
 )
-from cpspace.symmetry import BudgetExceeded, build_fragment
+from cpspace.symmetry import BudgetExceeded, build_fragment, form_apply, form_of
 
 
 def struct(n, k, r):
@@ -195,6 +196,48 @@ class TestDuplicatorRespond:
         with pytest.raises(PebbleError, match="pebble"):
             duplicator_respond(a, b, DuplicatorState.fresh(2), 0, 5, a.universe.empty)
 
+    @pytest.mark.parametrize("boards", [
+        ((2, 1, 1), (3, 1, 1)), ((4, 1, 1), (3, 1, 1)), ((4, 2, 1), (5, 2, 1)),
+        ((2, 1, 2), (3, 1, 2)),
+    ])
+    def test_answers_equal_a_fresh_scan(self, boards):
+        # the cached molecule and the answer read from the form_apply memo,
+        # against the rule itself: scan the molecules, apply the form
+        a, b = (struct(*spec) for spec in boards)
+        k = a.k
+
+        def scanned(state, side, pebble, x0):
+            home, other = (a, b) if side == 0 else (b, a)
+            phi, sigma = form_of(home.universe, x0, k)
+            rows = [
+                (e.sigma_a, e.sigma_b) if side == 0 else (e.sigma_b, e.sigma_a)
+                for j, e in enumerate(state.entries)
+                if e is not None and j != pebble
+            ]
+            for tau in itertools.permutations(range(other.universe.n_atoms), k):
+                if all((sigma[p] == home_row[q]) == (tau[p] == other_row[q])
+                       for home_row, other_row in rows
+                       for p in range(k) for q in range(k)):
+                    return form_apply(other.universe, phi, tau)
+            return None
+
+        rng = random.Random(len(a) + len(b))
+        answered = 0
+        for _ in range(30):
+            state = DuplicatorState.fresh(3)
+            for _ in range(6):
+                side, pebble = rng.randrange(2), rng.randrange(3)
+                x0 = rng.choice((a, b)[side].objects)
+                want = scanned(state, side, pebble, x0)
+                if want is None:
+                    with pytest.raises(NoExtension):
+                        duplicator_respond(a, b, state, side, pebble, x0)
+                    break
+                state, got = duplicator_respond(a, b, state, side, pebble, x0)
+                assert got == want
+                answered += 1
+        assert answered > 100
+
     def test_width_mismatch_detected(self):
         with pytest.raises(PebbleError, match="width"):
             verify_duplicator(struct(4, 1, 1), struct(4, 2, 1), 2, 1)
@@ -238,6 +281,44 @@ class TestVerifyDuplicator:
         )
         assert [verify_duplicator(*case) for case in cases] == fast
         assert [report.survived for report in fast] == [False, False, True, False]
+
+    @pytest.mark.parametrize("case", [
+        ((2, 1, 1), (3, 1, 1), 3, 3, False, 321),
+        ((3, 1, 1), (4, 1, 1), 2, 2, True, 3010),
+        ((4, 2, 1), (5, 2, 1), 2, 2, False, 1417),
+    ])
+    def test_pinned_move_counts(self, case):
+        # (3,1,1) against (4,1,1) is the count that moves if equal forms
+        # are ever distinct objects, since positions are keyed by form
+        spec_a, spec_b, m, depth, survived, nodes = case
+        report = verify_duplicator(struct(*spec_a), struct(*spec_b), m, depth)
+        assert (report.survived, report.nodes) == (survived, nodes)
+
+    def test_each_check_is_of_the_pair_just_placed(self, monkeypatch):
+        # partial_iso with `new` skips the combinations without pairs[new],
+        # so pairs[new] must be the pair just placed and the rest must hold
+        a, b = struct(3, 1, 1), struct(4, 1, 1)
+        respond, check = pebble.duplicator_respond, pebble.partial_iso
+        placed = []
+        checks = 0
+
+        def spy_respond(a_, b_, state, side, i, x0):
+            new_state, y0 = respond(a_, b_, state, side, i, x0)
+            placed.append((x0, y0) if side == 0 else (y0, x0))
+            return new_state, y0
+
+        def spy_check(a_, b_, pairs, new=None):
+            nonlocal checks
+            pairs = tuple(pairs)
+            assert new is not None and pairs[new] == placed[-1]
+            assert check(a_, b_, pairs[:new] + pairs[new + 1:]) is None
+            checks += 1
+            return check(a_, b_, pairs, new)
+
+        monkeypatch.setattr(pebble, "duplicator_respond", spy_respond)
+        monkeypatch.setattr(pebble, "partial_iso", spy_check)
+        report = verify_duplicator(a, b, 2, 2)
+        assert report.nodes == checks == 3010
 
     def test_missing_constant_caught_at_depth_one(self):
         # spoiler pebbles 1 and the answer is off the board

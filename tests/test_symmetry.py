@@ -1,5 +1,6 @@
 """Support, configuration, form, and fragment tests."""
 
+import gc
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from cpspace.machine import make_input
 from cpspace.monitor import load_machine, run
 from cpspace.symmetry import (
     _CONFIGS,
+    _NODES,
     _first_support,
     BudgetExceeded,
     Config,
@@ -30,6 +32,7 @@ from cpspace.symmetry import (
     check_support_theorem,
     conf,
     form_apply,
+    form_key,
     form_of,
     form_rank,
     format_config,
@@ -347,6 +350,94 @@ class TestForms:
         with pytest.raises(SymmetryError):
             parse_form("{(c0, [[(0,0),(0,1)]])}")
 
+    def test_deep_form_text_needs_no_recursion(self):
+        u = Universe(3)
+        c = u.empty
+        for _ in range(1500):
+            c = u.mk_set([c])
+        phi, _ = form_of(u, c, 1)
+        text = format_form(phi)
+        assert text == "{(" * 1500 + "{}" + ", [[(0,0),(1,0)]])}" * 1500
+        assert parse_form(text) is phi
+
+    def test_form_key_orders_like_the_nested_key(self):
+        # form_key flattens each node's (child key, blocks) pairs; the
+        # order must be that of the nested definition
+        def nested(phi):
+            if isinstance(phi, Leaf):
+                return (0, phi.pos)
+            return (1, tuple((nested(f), c.blocks) for f, c in phi.pairs))
+
+        forms = list(all_forms(1, 1))
+        for n, k, r in [(3, 1, 2), (3, 2, 1)]:
+            frag = build_fragment(n, k, r)
+            forms += [form_of(frag.universe, x, k)[0] for x in frag.objects[::7]]
+        forms = list({id(f): f for f in forms}.values())
+        random.Random(5).shuffle(forms)
+        assert sorted(forms, key=form_key) == sorted(forms, key=nested)
+        for phi in forms:
+            if isinstance(phi, Node):
+                assert list(phi.pairs) == sorted(
+                    phi.pairs, key=lambda fc: (nested(fc[0]), fc[1].blocks))
+
+
+class TestInterning:
+    def test_leaves_and_the_empty_form(self):
+        assert Leaf(0) is Leaf(0)
+        assert Leaf(2) is not Leaf(0)
+        assert mk_node([]) is EMPTY_FORM
+        assert parse_form("{}") is EMPTY_FORM
+
+    def test_equal_pair_sets_give_one_object(self):
+        diag = conf(((0,), (0,)))
+        split = conf(((0,), (1,)))
+        a = mk_node([(Leaf(0), split), (Leaf(0), diag), (Leaf(0), split)])
+        b = mk_node([(Leaf(0), diag), (Leaf(0), split)])
+        assert a is b
+        # a configuration equal to an interned one, but built apart
+        again = make_config(2, 1, [[(1, 0)], [(0, 0)]])
+        assert again is not split and again == split
+        assert mk_node([(Leaf(0), again), (Leaf(0), diag)]) is a
+        assert hash(again) == hash(split)
+
+    def test_one_form_across_universes_and_text(self):
+        # rank-1 fragments over 3 and 4 atoms have the same 11 forms
+        seen = {}
+        found = []
+        for n in (3, 4):
+            frag = build_fragment(n, 1, 1)
+            forms = {}
+            for x in frag.objects:
+                phi, _ = form_of(frag.universe, x, 1)
+                text = format_form(phi)
+                assert seen.setdefault(text, phi) is phi
+                assert parse_form(text) is phi
+                forms[id(phi)] = phi
+            found.append(forms)
+        assert found[0].keys() == found[1].keys()
+        assert len(seen) == 11
+
+    def test_the_table_forgets_unused_forms(self):
+        gc.collect()
+        before = len(_NODES)
+
+        def build():
+            # a chain on a leaf position no other form uses, so each of
+            # its nodes is new, and the forms of a whole fragment
+            diag = conf(((0,), (0,)))
+            phi = Leaf(97)
+            for _ in range(200):
+                phi = mk_node([(phi, diag)])
+            assert parse_form(format_form(phi)) is phi
+            frag = build_fragment(2, 1, 2)
+            forms = [form_of(frag.universe, x, 1)[0] for x in frag.objects]
+            assert len(forms) == 1026
+            return len(_NODES)
+
+        assert build() >= before + 200
+        gc.collect()
+        assert len(_NODES) == before
+
 
 class TestFormApply:
     def test_leaf_and_empty(self):
@@ -545,6 +636,14 @@ class TestFragments:
         )
         for x, supp in recorded.items():
             assert supp == _first_support(u, x, 1), x
+
+    def test_universe_must_have_n_atoms(self):
+        # both directions fail before any work, naming both atom counts
+        for n, atoms in [(2, 3), (3, 2)]:
+            u = Universe(atoms)
+            with pytest.raises(SymmetryError, match=f"{atoms} atoms.*n={n}"):
+                build_fragment(n, 1, 1, universe=u)
+            assert not u.caches
 
     def test_objects_are_transitive_and_orbit_closed(self):
         for n, k, r in [(3, 1, 1), (4, 2, 1), (2, 1, 2)]:
