@@ -29,7 +29,9 @@ Conventions baked in here and relied on everywhere else:
 * ``tc(x)`` is the least transitive set containing x (so it includes x
   itself);
 * permutations act on atoms by relabelling and extend to sets
-  element-wise.
+  element-wise.  The action is stored per transposition: ``swap`` keeps
+  one image map per pair of atoms a < b in ``caches``, at most one entry
+  per object, and ``apply_perm`` swaps once per factor of a permutation.
 
 A Universe is not thread-safe; use one per thread of work.  Different
 atom counts require different universes, and handles are only
@@ -77,8 +79,7 @@ class Universe:
         self._rank: list[int | None] = []
         self._tc: list[tuple[ObjId, ...] | None] = []
         self._set_table: dict[tuple[ObjId, ...], ObjId] = {}
-        self._perm_memo: dict[tuple[Perm, ObjId], ObjId] = {}
-        # scratch space for other modules' per-universe memo tables
+        # per-universe memo tables: the swap maps, and other modules' tables
         self.caches: dict[str, dict] = {}
         for i in range(n_atoms):
             self._add(_ATOM, i, i + 1)
@@ -255,31 +256,41 @@ class Universe:
 
     # -- permutation action ----------------------------------------------
 
-    def apply_perm(self, p: Perm, x: ObjId) -> ObjId:
-        """Relabel atoms of x by p, extended structurally to sets."""
-        if len(p) != self.n_atoms:
-            raise HFError("permutation length does not match atom count")
-        memo = self._perm_memo
-        got = memo.get((p, x))
+    def swap(self, a: AtomId, b: AtomId, x: ObjId) -> ObjId:
+        """The image of x under the transposition of atoms a < b."""
+        memo = self.caches.get(("swap", a, b))
+        if memo is None:
+            if not 0 <= a < b < self.n_atoms:
+                raise HFError(f"no transposition of atoms {a}, {b} over {self.n_atoms} atoms")
+            memo = self.caches["swap", a, b] = {}
+        got = memo.get(x)
         if got is not None:
             return got
         kind, payload = self._kind, self._payload
         stack = [x]
         while stack:
             y = stack[-1]
-            if (p, y) in memo:
+            if y in memo:
                 stack.pop()
             elif kind[y] == _ATOM:
-                memo[(p, y)] = p[payload[y]]
+                memo[y] = b if y == a else a if y == b else y  # atom i has handle i
                 stack.pop()
             else:
-                todo = [c for c in payload[y] if (p, c) not in memo]
+                todo = [c for c in payload[y] if c not in memo]
                 if todo:
                     stack.extend(todo)
                 else:
-                    memo[(p, y)] = self.mk_set([memo[(p, c)] for c in payload[y]])
+                    memo[y] = self.mk_set(map(memo.__getitem__, payload[y]))
                     stack.pop()
-        return memo[(p, x)]
+        return memo[x]
+
+    def apply_perm(self, p: Perm, x: ObjId) -> ObjId:
+        """Relabel atoms of x by p, extended structurally to sets."""
+        if len(p) != self.n_atoms:
+            raise HFError("permutation length does not match atom count")
+        for a, b in reversed(transpositions(p)):
+            x = self.swap(a, b, x)
+        return x
 
     # -- literals ----------------------------------------------------------
 
@@ -374,6 +385,22 @@ def transposition(n: int, i: int, j: int) -> Perm:
     p = list(range(n))
     p[i], p[j] = p[j], p[i]
     return tuple(p)
+
+def transpositions(p: Perm) -> list[tuple[AtomId, AtomId]]:
+    """Pairs (a, b), a < b, whose transpositions compose to p in list order.
+
+    The product t1 . t2 . ... . tk is p, so p acts as the last factor
+    first.  There are at most len(p) - 1 factors, none for the identity.
+    """
+    n = len(p)
+    if sorted(p) != list(range(n)):
+        raise HFError(f"not a permutation of {n} atoms: {p!r}")
+    q, where, out = list(p), list(invert(p)), []
+    for i, v in enumerate(q):
+        if v != i:  # then v > i: the values below i sit at their own positions
+            q[where[i]], where[v] = v, where[i]  # exchange the values i and v
+            out.append((i, v))
+    return out
 
 def compose(p: Perm, q: Perm) -> Perm:
     """compose(p, q) acts as p after q: (p . q)(i) = p(q(i))."""

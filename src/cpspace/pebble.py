@@ -223,21 +223,6 @@ class DuplicatorState(NamedTuple):
         process, and the key holds its forms, so no identity is reused."""
         return tuple(sorted((e for e in self.entries if e is not None), key=_entry_order))
 
-    def objects(self, a: GameStructure, b: GameStructure):
-        """The placed (A-object, B-object) pairs, in pebble order."""
-        out = []
-        for e in self.entries:
-            if e is None:
-                out.append(None)
-            else:
-                out.append(
-                    (
-                        form_apply(a.universe, e.phi, e.sigma_a),
-                        form_apply(b.universe, e.phi, e.sigma_b),
-                    )
-                )
-        return out
-
 
 def _patterns_match(lead_a, rows_a, lead_b, rows_b) -> bool:
     """The atom-equality pattern of lead_b against rows_b copies that of

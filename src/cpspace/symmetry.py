@@ -39,7 +39,7 @@ import os
 import weakref
 from dataclasses import dataclass
 
-from .hf import AtomId, ObjId, Perm, Universe, transposition
+from .hf import AtomId, ObjId, Perm, Universe, transpositions
 
 DEFAULT_BUDGET = 200_000
 
@@ -100,11 +100,7 @@ def is_support(u: Universe, support, obj: ObjId) -> bool:
     """
     inside = set(support)
     outside = [a for a in range(u.n_atoms) if a not in inside]
-    for a, b in itertools.combinations(outside, 2):
-        t = transposition(u.n_atoms, a, b)
-        if u.apply_perm(t, obj) != obj:
-            return False
-    return True
+    return all(u.swap(a, b, obj) == obj for a, b in itertools.combinations(outside, 2))
 
 
 def _first_support(u: Universe, obj: ObjId, max_size: int) -> frozenset[AtomId] | None:
@@ -786,39 +782,25 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
 # -- fragments ----------------------------------------------------------------
 
 def bulk_images(u: Universe, perm: Perm, objects) -> dict[ObjId, ObjId]:
-    """Permutation images for a whole element-closed object family.
-
-    One bottom-up pass in rank order, so each image is a single mk_set
-    over already-mapped children; avoids the per-object memo table.
-    """
-    return _images(u, perm, _bottom_up(u, objects))
-
-
-def _bottom_up(u: Universe, objects) -> list[ObjId]:
-    """The family by rank, then canonical order: children before parents."""
-    return sorted(objects, key=lambda o: (u.rank(o), u.sort_key(o)))
+    """Permutation images for a whole object family, mapped through one
+    factor of `transpositions(perm)` at a time, the last first."""
+    family = tuple(objects)
+    images, swap = family, u.swap
+    for a, b in reversed(transpositions(perm)):
+        images = [swap(a, b, y) for y in images]
+    return dict(zip(family, images))
 
 
-def _images(u: Universe, perm: Perm, bottom_up) -> dict[ObjId, ObjId]:
-    img: dict[ObjId, ObjId] = {}
-    for x in bottom_up:
-        if u.is_atom(x):
-            img[x] = perm[u.atom_index(x)]
-        else:
-            img[x] = u.mk_set(img[c] for c in u.elements(x))
-    return img
-
-
-def _stabilizer_orbits(u: Universe, fixed, objects, maps) -> list[list[ObjId]]:
+def _stabilizer_orbits(u: Universe, fixed, objects) -> list[list[ObjId]]:
     """Orbits of the given objects under permutations fixing `fixed` pointwise.
 
-    The family must be closed under those permutations, and maps[a, b]
-    must be the image map of the transposition of atoms a < b over it.
-    Transpositions outside the fixed set generate the stabilizer, so
-    orbits are the connected components of their image maps.
+    The family must be closed under those permutations.  Transpositions
+    of two atoms outside the fixed set generate the stabilizer, so the
+    orbits are the connected components of the graph joining each object
+    to its `Universe.swap` images under them.
     """
     outside = [a for a in range(u.n_atoms) if a not in set(fixed)]
-    gens = [maps[a, b] for a, b in itertools.combinations(outside, 2)]
+    gens = list(itertools.combinations(outside, 2))
     seen: set[ObjId] = set()
     orbits: list[list[ObjId]] = []
     for start in objects:
@@ -829,8 +811,8 @@ def _stabilizer_orbits(u: Universe, fixed, objects, maps) -> list[list[ObjId]]:
         queue = [start]
         while queue:
             x = queue.pop()
-            for m in gens:
-                y = m[x]
+            for a, b in gens:
+                y = u.swap(a, b, x)
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
@@ -877,12 +859,11 @@ class SymmetricFragment:
     def is_orbit_closed(self) -> bool:
         """Closure under the transposition generators implies the full group."""
         u = self.universe
-        bottom_up = _bottom_up(u, self.objects)
-        for a, b in itertools.combinations(range(self.n), 2):
-            img = _images(u, transposition(self.n, a, b), bottom_up)
-            if any(y not in self._index for y in img.values()):
-                return False
-        return True
+        return all(
+            u.swap(a, b, x) in self._index
+            for a, b in itertools.combinations(range(self.n), 2)
+            for x in self.objects
+        )
 
     def export_text(self) -> str:
         u = self.universe
@@ -975,16 +956,11 @@ def build_fragment(
     supports = u.caches.setdefault(("support_within", k), {})
     supports.setdefault(u.empty, frozenset())
     for _level in range(r):
-        bottom_up = _bottom_up(u, ordered)
-        maps = {
-            (a, b): _images(u, transposition(n, a, b), bottom_up)
-            for a, b in itertools.combinations(range(n), 2)
-        }
         new: dict[ObjId, frozenset[AtomId]] = {}  # each set's first support
         for size in range(min(k, n) + 1):
             for fixed in itertools.combinations(range(n), size):
                 support = frozenset(fixed)
-                orbits = _stabilizer_orbits(u, fixed, ordered, maps)
+                orbits = _stabilizer_orbits(u, fixed, ordered)
                 if len(orbits) >= 60 or (1 << len(orbits)) > 4 * cap:
                     raise BudgetExceeded(
                         f"2^{len(orbits)} candidate unions for stabilizer of "

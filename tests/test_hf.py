@@ -1,5 +1,6 @@
 """Universe interning, rank, transitive closure, permutation action."""
 
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from canon import assert_canonical, reference_keys
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from relabel import relabel
 
 from cpspace.hf import (
     HFError,
@@ -16,8 +18,9 @@ from cpspace.hf import (
     identity_perm,
     invert,
     transposition,
+    transpositions,
 )
-from cpspace.symmetry import build_fragment
+from cpspace.symmetry import build_fragment, bulk_images, is_support
 
 # Deeper than the default recursion limit of 1000.
 DEEP = 1500
@@ -188,6 +191,60 @@ class TestPermutations:
                 y = u.apply_perm(p, x)
                 assert u.rank(x) == u.rank(y)
                 assert len(u.tc(x)) == len(u.tc(y))
+
+    def test_wrong_length_rejected(self):
+        u = Universe(3)
+        with pytest.raises(HFError):
+            u.apply_perm((1, 0), u.atom(0))
+
+    def test_non_permutation_rejected(self):
+        # a repeated image would relabel two atoms as one
+        u = Universe(3)
+        x = u.mk_set([u.atom(0), u.atom(1)])
+        for p in [(0, 0, 1), (1, 1, 1), (0, 1, 3), (0, 1, -1)]:
+            with pytest.raises(HFError):
+                u.apply_perm(p, x)
+            with pytest.raises(HFError):
+                transpositions(p)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_transpositions_compose_to_the_permutation(self, n):
+        assert transpositions(identity_perm(n)) == []
+        for p in all_perms(n):
+            factors = transpositions(p)
+            assert len(factors) <= max(n - 1, 0)
+            assert all(0 <= a < b < n for a, b in factors)
+            ts = [transposition(n, a, b) for a, b in factors]
+            assert functools.reduce(compose, ts, identity_perm(n)) == p
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_agrees_with_relabel(self, n):
+        # random objects of rank <= 3 under every permutation, against the
+        # definition in tests/relabel.py
+        u = Universe(n)
+        rng = random.Random(n)
+        objs = [build_random_object(u, rng, 3) for _ in range(30)]
+        for p in all_perms(n):
+            want = relabel(u, p, objs)
+            assert {x: u.apply_perm(p, x) for x in objs} == want, p
+            assert bulk_images(u, p, objs) == want, p
+
+    def test_swap_maps_stay_bounded_and_iterative(self):
+        # every permutation of 6 atoms leaves at most one map per pair of
+        # atoms, each with at most one entry per object
+        u = Universe(6)
+        rng = random.Random(6)
+        x = u.mk_set(build_random_object(u, rng, 3) for _ in range(8))
+        for p in all_perms(6):
+            u.apply_perm(p, x)
+        maps = [m for key, m in u.caches.items() if key[0] == "swap"]
+        assert 0 < len(maps) <= 15
+        assert max(map(len, maps)) <= u.size()
+        # a chain deeper than the recursion limit
+        top = chain(u, u.atom(0), DEEP)[-1]
+        assert u.apply_perm((1, 0, 2, 3, 4, 5), top) == chain(u, u.atom(1), DEEP)[-1]
+        assert is_support(u, (0,), top)
+        assert not is_support(u, (1,), top)
 
 
 class TestLiterals:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpspace.hf import Universe, all_perms, transposition
+from cpspace.hf import Universe, all_perms
 from cpspace.machine import make_input
 from cpspace.monitor import load_machine, run
 from cpspace.symmetry import (
@@ -50,6 +50,7 @@ from cpspace.symmetry import (
     smallest_n_binomial,
     support_within,
 )
+from relabel import relabel
 from test_hf import build_random_object
 
 from pathlib import Path
@@ -58,10 +59,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def is_support_full_stabilizer(u, support, obj):
-    """Oracle: quantify over every permutation fixing the set pointwise."""
+    """Oracle: quantify over every permutation fixing the set pointwise,
+    each applied by its definition."""
     inside = set(support)
     for p in all_perms(u.n_atoms):
-        if all(p[a] == a for a in inside) and u.apply_perm(p, obj) != obj:
+        if all(p[a] == a for a in inside) and relabel(u, p, [obj])[obj] != obj:
             return False
     return True
 
@@ -702,13 +704,21 @@ class TestFragments:
         with pytest.raises(SymmetryError, match="edge"):
             parse_fragment("\n".join(lines))
 
-    def test_bulk_images_agree_with_apply_perm(self):
-        frag = build_fragment(4, 1, 1)
-        u = frag.universe
-        for p in all_perms(4):
-            img = bulk_images(u, p, frag.objects)
-            for x in frag.objects:
-                assert img[x] == u.apply_perm(p, x)
+    def test_images_agree_with_relabel(self):
+        # every permutation of n <= 5 atoms on the fragments (n,1,2) and
+        # (n,2,1), against the definition in tests/relabel.py; families
+        # above 1,000 objects are sampled evenly (criterion 5 maps the
+        # whole of each against form_apply)
+        for n, (k, r) in itertools.product(range(1, 6), ((1, 2), (2, 1))):
+            if n < k:
+                continue
+            frag = build_fragment(n, k, r)
+            u = frag.universe
+            objs = frag.objects[:: 1 + len(frag) // 1000]
+            for p in all_perms(n):
+                want = relabel(u, p, objs)
+                assert bulk_images(u, p, objs) == want, (n, k, r, p)
+                assert {x: u.apply_perm(p, x) for x in objs} == want, (n, k, r, p)
 
 
 class TestInEqTables:
