@@ -31,7 +31,8 @@ Conventions baked in here and relied on everywhere else:
 * permutations act on atoms by relabelling and extend to sets
   element-wise.  The action is stored per transposition: ``swap`` keeps
   one image map per pair of atoms a < b in ``caches``, at most one entry
-  per object, and ``apply_perm`` swaps once per factor of a permutation.
+  per object, which ``swap_map`` hands out for direct reads, and
+  ``apply_perm`` swaps once per factor of a permutation.
 
 A Universe is not thread-safe; use one per thread of work.  Different
 atom counts require different universes, and handles are only
@@ -256,13 +257,23 @@ class Universe:
 
     # -- permutation action ----------------------------------------------
 
-    def swap(self, a: AtomId, b: AtomId, x: ObjId) -> ObjId:
-        """The image of x under the transposition of atoms a < b."""
+    def swap_map(self, a: AtomId, b: AtomId) -> dict[ObjId, ObjId]:
+        """The image map of the transposition of atoms a < b, made on first
+        use: object -> image, for the objects `swap` has mapped so far.
+        Callers may read it; a miss goes through `swap`."""
         memo = self.caches.get(("swap", a, b))
         if memo is None:
             if not 0 <= a < b < self.n_atoms:
                 raise HFError(f"no transposition of atoms {a}, {b} over {self.n_atoms} atoms")
             memo = self.caches["swap", a, b] = {}
+        return memo
+
+    def swap(self, a: AtomId, b: AtomId, x: ObjId) -> ObjId:
+        """The image of x under the transposition of atoms a < b."""
+        # one probe on the hot path; swap_map only on the map's first use
+        memo = self.caches.get(("swap", a, b))
+        if memo is None:
+            memo = self.swap_map(a, b)
         got = memo.get(x)
         if got is not None:
             return got

@@ -11,10 +11,10 @@ the molecule to the other side so the atom pattern against the other
 placed molecules matches, and answers with the form applied there.
 Forms are interned (see `symmetry`), so the work per move is a few
 dict probes: the spoiler object's (form, molecule) from the `form_of`
-memo, the answer molecule from a per-universe cache keyed by the
-spoiler's molecule and the rows of the other placed molecules on both
-sides, and the answer object from the `form_apply` memo keyed by
-(form, molecule).
+memo, the answer molecule from a per-universe cache for the rows of the
+other placed molecules on both sides, keyed by the spoiler's molecule,
+and the answer object from the `form_apply` memo keyed by (form,
+molecule).
 
 `verify_duplicator` drives that strategy through every spoiler sequence
 up to a depth and checks the partial-isomorphism condition after each
@@ -22,6 +22,16 @@ answer; `solve_game` ignores forms entirely and decides by backward
 induction whether the spoiler can force a violation.  The two must
 agree on whether the duplicator survives to the given depth (surviving
 a bounded game is weaker than winning, so that is the word used).
+
+The verifier tries every object for one side and pebble at a position,
+so it sets that (position, side, pebble) up once: one responder
+(`_responder`, which `duplicator_respond` also answers through) holds
+the rows and the memos, and one check (`_compiled_check`) holds the
+pins and the other placed pairs with their element tuples.  A move then
+costs the responder's probes and three comparisons per placed pair.
+`partial_iso` stays the definition: the verifier calls it to word a
+violation the compiled check found, and `GameSession` checks every
+position with it in full.
 """
 
 from __future__ import annotations
@@ -37,7 +47,9 @@ from .symmetry import (
     Molecule,
     SymmetricFragment,
     form_apply,
+    form_apply_memo,
     form_of,
+    form_of_memo,
     resolve_budget,
 )
 
@@ -207,7 +219,7 @@ class DuplicatorState(NamedTuple):
     """Per-pebble strategy data; None marks an unplaced pebble.
 
     Both records are named tuples: the verifier makes one of each per
-    spoiler move.
+    spoiler move it plays on from (not for a move at the last depth).
     """
 
     entries: tuple[PebblePair | None, ...]
@@ -240,17 +252,8 @@ def _patterns_match(lead_a, rows_a, lead_b, rows_b) -> bool:
 
 def _answer_molecule(u: Universe, sigma0: Molecule, rows_home, rows_other):
     """The lex smallest molecule over u's atoms whose pattern against
-    rows_other copies that of sigma0 against rows_home, or None.
-
-    It depends on nothing but its arguments, so it is computed once per
-    (sigma0, rows_home, rows_other) and kept in u's caches: with one
-    pebble that is one scan per molecule, not one per move.
-    """
-    cache = u.caches.setdefault("duplicator_answer", {})
-    key = (sigma0, rows_home, rows_other)
-    if key in cache:
-        return cache[key]
-    answer = cache[key] = next(
+    rows_other copies that of sigma0 against rows_home, or None."""
+    return next(
         (
             tau0
             for tau0 in itertools.permutations(range(u.n_atoms), len(sigma0))
@@ -258,7 +261,89 @@ def _answer_molecule(u: Universe, sigma0: Molecule, rows_home, rows_other):
         ),
         None,
     )
-    return answer
+
+
+_UNSEEN = object()
+
+
+def _responder(
+    a: GameStructure,
+    b: GameStructure,
+    state: DuplicatorState,
+    side: int,
+    pebble: int,
+):
+    """The strategy's answers at one position, for pebble `pebble` placed
+    on side A (0) or B (1): a function respond(x0) -> (y0, phi0, sigma0,
+    answer), where x0 decomposes as (phi0, sigma0) and y0 is phi0 applied
+    to the answer molecule on the other side.
+
+    What depends only on the position is read here, once: the rows of
+    the other placed molecules on both sides, the home universe's
+    `form_of` memo, the other universe's `form_apply` memo, and its cache
+    of answer molecules for these rows.  The lex smallest matching
+    molecule is a function of (sigma0, rows home, rows other), so it is
+    scanned for once per spoiler molecule and row pattern and kept in
+    the other universe's caches.  A warm move is then a few dict probes.
+    """
+    home, other = (a, b) if side == 0 else (b, a)
+    hu, ou, k = home.universe, other.universe, home.k
+    on_home, on_other = home._index, other._index
+    pebble_ok = 0 <= pebble < len(state.entries)
+    placed = [e for j, e in enumerate(state.entries) if e is not None and j != pebble]
+    rows_a = tuple(e.sigma_a for e in placed)
+    rows_b = tuple(e.sigma_b for e in placed)
+    rows_home, rows_other = (rows_a, rows_b) if side == 0 else (rows_b, rows_a)
+    forms = form_of_memo(hu, k)
+    applied = form_apply_memo(ou)
+    answers = ou.caches.setdefault("duplicator_answer", {}).setdefault(
+        (rows_home, rows_other), {}
+    )
+
+    def respond(x0: ObjId):
+        if x0 not in on_home:
+            raise PebbleError(f"object not on the board: {home.literal(x0)}")
+        if not pebble_ok:
+            raise PebbleError(f"no pebble {pebble}")
+        got = forms.get(x0)
+        phi0, sigma0 = form_of(hu, x0, k) if got is None else got
+        answer = answers.get(sigma0, _UNSEEN)
+        if answer is _UNSEEN:
+            answer = answers[sigma0] = _answer_molecule(ou, sigma0, rows_home, rows_other)
+        if answer is None:
+            raise NoExtension(
+                f"no {home.k}-molecule over {ou.n_atoms} atoms matches "
+                f"the pattern of {home.literal(x0)}"
+            )
+        y0 = applied.get((phi0, answer))
+        if y0 is None:
+            y0 = form_apply(ou, phi0, answer)
+        if y0 not in on_other:
+            raise NoExtension(
+                f"transported object {other.literal(y0)} is not on the board"
+            )
+        return y0, phi0, sigma0, answer
+
+    return respond
+
+
+def _placed(
+    state: DuplicatorState,
+    side: int,
+    pebble: int,
+    phi0: Form,
+    sigma0: Molecule,
+    answer: Molecule,
+) -> DuplicatorState:
+    """The state after the spoiler's molecule sigma0 on `side` was
+    answered by `answer` on the other side, both with form phi0."""
+    entries = list(state.entries)
+    entries[pebble] = (
+        PebblePair(phi0, sigma0, answer)
+        if side == 0
+        else PebblePair(phi0, answer, sigma0)
+    )
+    return DuplicatorState(tuple(entries))
 
 
 def duplicator_respond(
@@ -274,44 +359,44 @@ def duplicator_respond(
 
     The spoiler's object is decomposed into form and molecule; the lex
     smallest molecule on the other side whose pattern against the other
-    placed molecules matches is used to transport the form across.
-    That molecule is cached per row pattern (`_answer_molecule`), and
-    the answer object comes from the other universe's `form_apply` memo,
-    keyed by (form, molecule), once it has been applied there.
+    placed molecules matches is used to transport the form across (see
+    `_responder`, which the verifier calls once per position).
+    """
+    y0, phi0, sigma0, answer = _responder(a, b, state, side, pebble)(x0)
+    return _placed(state, side, pebble, phi0, sigma0, answer), y0
+
+
+def _compiled_check(a: GameStructure, b: GameStructure, side: int, pairs):
+    """`partial_iso` for one more pair, compiled against the others.
+
+    `pairs` are placed (A, B) pairs, pins included, that already form a
+    partial isomorphism.  Returns holds(x0, y0): whether they stay one
+    once x0 on `side` is paired with y0 on the other side.  Each pair
+    (h, o) is bound, in home/other order, with its element tuples, so a
+    move costs two `elements` reads and three comparisons per pair: the
+    equality and both membership biconditionals of `partial_iso`.
+    (When x0 == h and y0 == o, both memberships read false on both
+    sides, since no set contains itself.)
     """
     home, other = (a, b) if side == 0 else (b, a)
-    if x0 not in home:
-        raise PebbleError(f"object not on the board: {home.literal(x0)}")
-    if not 0 <= pebble < len(state.entries):
-        raise PebbleError(f"no pebble {pebble}")
-    phi0, sigma0 = form_of(home.universe, x0, home.k)
-    rows_home = []
-    rows_other = []
-    for j, e in enumerate(state.entries):
-        if e is None or j == pebble:
-            continue
-        rows_home.append(e.sigma_a if side == 0 else e.sigma_b)
-        rows_other.append(e.sigma_b if side == 0 else e.sigma_a)
-    ou = other.universe
-    answer = _answer_molecule(ou, sigma0, tuple(rows_home), tuple(rows_other))
-    if answer is None:
-        raise NoExtension(
-            f"no {home.k}-molecule over {ou.n_atoms} atoms matches "
-            f"the pattern of {home.literal(x0)}"
-        )
-    y0 = form_apply(ou, phi0, answer)
-    if y0 not in other:
-        raise NoExtension(
-            f"transported object {other.literal(y0)} is not on the board"
-        )
-    entry = (
-        PebblePair(phi0, sigma0, answer)
-        if side == 0
-        else PebblePair(phi0, answer, sigma0)
+    he, oe = home.universe.elements, other.universe.elements
+    bound = tuple(
+        (h, o, he(h), oe(o))
+        for h, o in (pairs if side == 0 else ((y, x) for x, y in pairs))
     )
-    entries = list(state.entries)
-    entries[pebble] = entry
-    return DuplicatorState(tuple(entries)), y0
+
+    def holds(x0: ObjId, y0: ObjId) -> bool:
+        ex, ey = he(x0), oe(y0)
+        for h, o, eh, eo in bound:
+            if (
+                (x0 == h) != (y0 == o)
+                or (h in ex) != (o in ey)
+                or (x0 in eh) != (y0 in eo)
+            ):
+                return False
+        return True
+
+    return holds
 
 
 # -- exhaustive strategy verification ---------------------------------------------
@@ -366,7 +451,15 @@ def verify_duplicator(
     """Drive the form strategy through every spoiler sequence of length
     <= depth (both sides, every object, every pebble), checking the
     partial-isomorphism condition after each answer.  Returns success or
-    the first counterexample trace found."""
+    the first counterexample trace found.
+
+    Work that depends only on the position is done once per (position,
+    side, pebble), before the loop over the spoiler's objects: the
+    responder reads the rows and the memos, and the check is compiled
+    against the pins and the other placed pairs.  Each move then answers
+    through the responder and runs the compiled check; `partial_iso`
+    writes the text of a rejected move, and the state after a move is
+    built only when the walk goes deeper."""
     _compatible(a, b)
     if m < 1 or depth < 0:
         raise PebbleError("need at least one pebble and a non-negative depth")
@@ -385,9 +478,14 @@ def verify_duplicator(
         seen.add(key)
         for side, home in ((0, a), (1, b)):
             for i in range(m):
-                # the placed pairs around pebble i, in pebble order
+                # the placed pairs around pebble i, in pebble order; they
+                # form a partial isomorphism (the pins alone hold in any
+                # two universes), so only combinations with the new pair
+                # are checked
                 head = pins + tuple(p for p in pairs[:i] if p is not None)
                 tail = tuple(p for p in pairs[i + 1:] if p is not None)
+                respond = _responder(a, b, state, side, i)
+                holds = _compiled_check(a, b, side, head + tail)
                 for x0 in home.objects:
                     nodes += 1
                     if nodes > cap:
@@ -395,20 +493,19 @@ def verify_duplicator(
                             f"verification exceeded {cap} spoiler moves"
                         )
                     try:
-                        new_state, y0 = duplicator_respond(a, b, state, side, i, x0)
+                        y0, phi0, sigma0, answer = respond(x0)
                     except NoExtension as err:
                         return [Move("AB"[side], i, x0, None, str(err))]
-                    pair = (x0, y0) if side == 0 else (y0, x0)
-                    # every other combination held at this position (the
-                    # pins alone hold in any two universes), so only those
-                    # with the new pair are checked
-                    reason = partial_iso(a, b, head + (pair,) + tail, new=len(head))
-                    if reason is not None:
+                    if not holds(x0, y0):
+                        # the text is partial_iso's, the definition
+                        pair = (x0, y0) if side == 0 else (y0, x0)
+                        reason = partial_iso(a, b, head + (pair,) + tail, new=len(head))
                         return [Move("AB"[side], i, x0, y0, reason)]
                     if depth_left == 1:
                         continue
                     new_pairs = list(pairs)
-                    new_pairs[i] = pair
+                    new_pairs[i] = (x0, y0) if side == 0 else (y0, x0)
+                    new_state = _placed(state, side, i, phi0, sigma0, answer)
                     rest = walk(new_state, new_pairs, depth_left - 1)
                     if rest is not None:
                         return [Move("AB"[side], i, x0, y0)] + rest

@@ -649,12 +649,18 @@ def _config_matches(tau, sigma, config: Config) -> bool:
     return True
 
 
+def form_apply_memo(u: Universe) -> dict[tuple[Form, Molecule], ObjId]:
+    """u's memo of `form_apply`: (form, checked molecule) -> object.
+    Callers may read it; a miss goes through `form_apply`."""
+    return u.caches.setdefault("form_apply", {})
+
+
 def form_apply(u: Universe, phi: Form, sigma) -> ObjId:
     """Evaluate the form at a molecule: a leaf picks an atom of sigma, a
     node unions each child over every molecule inducing its configuration.
     Memoised per universe by (form, molecule); forms are interned, so a
     probe hashes the form by identity."""
-    memo = u.caches.setdefault("form_apply", {})
+    memo = form_apply_memo(u)
     # only checked molecules reach the memo, so a hit needs no check
     got = memo.get((phi, sigma)) if isinstance(sigma, tuple) else None
     if got is not None:
@@ -713,6 +719,12 @@ def _apply_leaf(u: Universe, leaf: Leaf, sigma: Molecule, memo) -> ObjId:
     return val
 
 
+def form_of_memo(u: Universe, k: int) -> dict[ObjId, tuple[Form, Molecule]]:
+    """u's memo of `form_of` at width k: object -> (form, molecule).
+    Callers may read it; a miss goes through `form_of`."""
+    return u.caches.setdefault(("form_of", k), {})
+
+
 def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
     """Decompose a k-symmetric object as (form, molecule).
 
@@ -721,7 +733,7 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
     the same way, first, and record their configuration against the
     parent.  Walks an explicit stack, so deep objects need no recursion.
     """
-    memo = u.caches.setdefault(("form_of", k), {})
+    memo = form_of_memo(u, k)
     got = memo.get(x)
     if got is not None:
         return got
@@ -787,7 +799,12 @@ def bulk_images(u: Universe, perm: Perm, objects) -> dict[ObjId, ObjId]:
     family = tuple(objects)
     images, swap = family, u.swap
     for a, b in reversed(transpositions(perm)):
-        images = [swap(a, b, y) for y in images]
+        # read the transposition's map; only objects not yet in it go
+        # through swap, which fills it
+        got = list(map(u.swap_map(a, b).get, images))
+        if None in got:
+            got = [swap(a, b, y) if g is None else g for g, y in zip(got, images)]
+        images = got
     return dict(zip(family, images))
 
 

@@ -195,6 +195,9 @@ class TestDuplicatorRespond:
             duplicator_respond(a, b, DuplicatorState.fresh(2), 0, 0, deep)
         with pytest.raises(PebbleError, match="pebble"):
             duplicator_respond(a, b, DuplicatorState.fresh(2), 0, 5, a.universe.empty)
+        # both wrong: the object is reported first
+        with pytest.raises(PebbleError, match="not on the board"):
+            duplicator_respond(a, b, DuplicatorState.fresh(2), 0, 5, deep)
 
     @pytest.mark.parametrize("boards", [
         ((2, 1, 1), (3, 1, 1)), ((4, 1, 1), (3, 1, 1)), ((4, 2, 1), (5, 2, 1)),
@@ -295,30 +298,99 @@ class TestVerifyDuplicator:
         assert (report.survived, report.nodes) == (survived, nodes)
 
     def test_each_check_is_of_the_pair_just_placed(self, monkeypatch):
-        # partial_iso with `new` skips the combinations without pairs[new],
-        # so pairs[new] must be the pair just placed and the rest must hold
-        a, b = struct(3, 1, 1), struct(4, 1, 1)
-        respond, check = pebble.duplicator_respond, pebble.partial_iso
-        placed = []
+        # the verifier compiles one check per (position, side, pebble); at
+        # every move its verdict must equal the definition's on the pins
+        # and all placed pairs, with the placed pairs read off the
+        # duplicator's state, not off the verifier's own list, and a
+        # rejected move must report the definition's text
+        def cut(spec, *literals):
+            # a fragment board without the given objects, built unchecked
+            frag = build_fragment(*spec)
+            u = frag.universe
+            gone = {u.parse_literal(text) for text in literals}
+            kept = tuple(x for x in frag.objects if x not in gone)
+            return GameStructure(u, kept, frag.k, frag.r, strict=False)
+
+        cases = [
+            # the counterexamples of the pinned counts, both orders
+            (struct(2, 1, 1), struct(3, 1, 1), 3, 3),
+            (struct(3, 1, 1), struct(2, 1, 1), 3, 3),
+            (struct(4, 2, 1), struct(5, 2, 1), 2, 2),
+            # a survivor: every move is checked and accepted
+            (struct(3, 1, 1), struct(4, 1, 1), 2, 2),
+            # the answer breaks a pin: 0 against {a0, a1}
+            (struct(2, 2, 1), struct(3, 2, 1), 2, 2),
+            # unchecked boards: an atom missing, so sets lose an element
+            # on the board; boards whose first violation is a membership,
+            # met by a spoiler on A and on B
+            (cut((3, 2, 1), "a0"), struct(2, 2, 1), 2, 2),
+            (cut((3, 2, 1), "{a0, a1}", "{a0, a1, 0}"), struct(2, 2, 1), 2, 3),
+            (struct(2, 2, 1), cut((4, 2, 1), "{a0, a1, a2}", "{a0, a1, a2, 0}",
+                                  "{a0, a1, a3}", "{a0, a1, a3, 0}"), 2, 3),
+            # the answer to 1 is off the board: the last move is unchecked
+            (struct(2, 1, 1), cut((2, 1, 1), "1"), 3, 2),
+        ]
+        responder, compiled = pebble._responder, pebble._compiled_check
+        last = []
         checks = 0
+        rejected = []
 
-        def spy_respond(a_, b_, state, side, i, x0):
-            new_state, y0 = respond(a_, b_, state, side, i, x0)
-            placed.append((x0, y0) if side == 0 else (y0, x0))
-            return new_state, y0
+        def spy_responder(a_, b_, state, side, i):
+            respond = responder(a_, b_, state, side, i)
 
-        def spy_check(a_, b_, pairs, new=None):
-            nonlocal checks
-            pairs = tuple(pairs)
-            assert new is not None and pairs[new] == placed[-1]
-            assert check(a_, b_, pairs[:new] + pairs[new + 1:]) is None
-            checks += 1
-            return check(a_, b_, pairs, new)
+            def spied(x0):
+                got = respond(x0)
+                last[:] = [state, side, i, x0, got[0]]
+                return got
 
-        monkeypatch.setattr(pebble, "duplicator_respond", spy_respond)
-        monkeypatch.setattr(pebble, "partial_iso", spy_check)
-        report = verify_duplicator(a, b, 2, 2)
-        assert report.nodes == checks == 3010
+            return spied
+
+        def spy_compiled(a_, b_, side, pairs):
+            holds = compiled(a_, b_, side, pairs)
+
+            def spied(x0, y0):
+                nonlocal checks
+                verdict = holds(x0, y0)
+                state, side_, i, x, y = last
+                assert (side_, x, y) == (side, x0, y0)
+                placed = [
+                    None if e is None else (
+                        form_apply(a_.universe, e.phi, e.sigma_a),
+                        form_apply(b_.universe, e.phi, e.sigma_b),
+                    )
+                    for e in state.entries
+                ]
+                placed[i] = (x0, y0) if side == 0 else (y0, x0)
+                full = pin_pairs(a_, b_) + tuple(p for p in placed if p is not None)
+                want = partial_iso(a_, b_, full)
+                assert verdict == (want is None), (full, want)
+                if want is not None:
+                    rejected.append(want)
+                checks += 1
+                return verdict
+
+            return spied
+
+        monkeypatch.setattr(pebble, "_responder", spy_responder)
+        monkeypatch.setattr(pebble, "_compiled_check", spy_compiled)
+        notes = []
+        for a, b, m, depth in cases:
+            checks = 0
+            rejected.clear()
+            report = verify_duplicator(a, b, m, depth)
+            moves = report.counterexample
+            unchecked = bool(moves) and moves[-1].response is None
+            assert checks == report.nodes - unchecked
+            if report.survived or unchecked:
+                assert rejected == []
+            else:
+                assert rejected == [moves[-1].note]
+            notes.append(moves[-1].side + " " + moves[-1].note.split(":")[0] if moves else "")
+        assert notes == [
+            "B equality broken", "A equality broken", "B equality broken", "",
+            "B equality broken", "A equality broken", "A membership broken",
+            "B membership broken", "A transported object 1 is not on the board",
+        ]
 
     def test_missing_constant_caught_at_depth_one(self):
         # spoiler pebbles 1 and the answer is off the board
