@@ -89,7 +89,6 @@ class ExperimentConfig:
     max_steps: int | None = None
     max_stages: int = 10_000
     name: str | None = None
-    mode: str = "state"
     n: int | None = None
     k: int | None = None
     r: int | None = None
@@ -253,14 +252,14 @@ def cmd_pfp_extract(cfg: ExperimentConfig, em: Emitter) -> int:
     for fname in names:
         if sig.dynamic_info(fname) is None:
             raise UsageError(f"{fname!r} is not a dynamic name of this machine")
-        upd = update_formula(program, fname, mode=cfg.mode)
+        upd = update_formula(program, fname)
         sexpr = formula_sexpr(upd.formula)
         em.emit(f"; upd for {upd.name}({', '.join(upd.arg_vars)}) := {upd.val_var}")
         em.emit(sexpr)
         em.emit(
             record="update-formula",
             name=upd.name,
-            mode=cfg.mode,
+            mode="state",
             args=list(upd.arg_vars),
             val=upd.val_var,
             sexpr=sexpr,
@@ -634,8 +633,6 @@ def _build_parser() -> _Parser:
                            help="print the update formula system")
     p.add_argument("machine", help="machine file")
     p.add_argument("--name", help="one dynamic name (default: all)")
-    p.add_argument("--mode", choices=("state", "table"), default="state",
-                   help="read dynamics from the state or from stage tables")
     p.set_defaults(func=cmd_pfp_extract)
 
     p = pfp_sub.add_parser("eval", parents=[common],

@@ -78,7 +78,6 @@ class Universe:
         self._order: list[ObjId] = []   # labelled sets, in canonical order
         self._pending: list[ObjId] = []  # unlabelled sets, in creation order
         self._rank: list[int | None] = []
-        self._tc: list[tuple[ObjId, ...] | None] = []
         self._set_table: dict[tuple[ObjId, ...], ObjId] = {}
         # per-universe memo tables: the swap maps, and other modules' tables
         self.caches: dict[str, dict] = {}
@@ -96,7 +95,6 @@ class Universe:
         self._payload.append(payload)
         self._label.append(label)
         self._rank.append(0 if kind == _ATOM else None)
-        self._tc.append(None)
         return len(self._kind) - 1
 
     def _intern_set(self, children: tuple[ObjId, ...]) -> ObjId:
@@ -232,10 +230,7 @@ class Universe:
 
     def tc(self, x: ObjId) -> tuple[ObjId, ...]:
         """Transitive closure of x, including x itself, in canonical order."""
-        t = self._tc[x]
-        if t is not None:
-            return t
-        kind, payload, memo = self._kind, self._payload, self._tc
+        kind, payload = self._kind, self._payload
         acc = {x}
         stack = [x]
         while stack:
@@ -243,17 +238,10 @@ class Universe:
             if kind[y] == _ATOM:
                 continue
             for c in payload[y]:
-                if c in acc:
-                    continue
-                known = memo[c]
-                if known is None:
+                if c not in acc:
                     acc.add(c)
                     stack.append(c)
-                else:
-                    acc.update(known)
-        t = self._canonical(acc)
-        memo[x] = t
-        return t
+        return self._canonical(acc)
 
     # -- permutation action ----------------------------------------------
 

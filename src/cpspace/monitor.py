@@ -28,7 +28,6 @@ from cpspace.machine import (
     InputStructure,
     MachineError,
     State,
-    Update,
     initial_state,
     step,
 )
@@ -119,10 +118,15 @@ def critical_objects(state: State) -> set[ObjId]:
 
 
 def active_objects(state: State) -> set[ObjId]:
-    u = state.universe
-    out: set[ObjId] = set()
-    for x in critical_objects(state):
-        out.update(u.tc(x))
+    """The union of the critical objects' transitive closures, in one walk."""
+    elements = state.universe.elements
+    out = critical_objects(state)
+    stack = list(out)
+    while stack:
+        for c in elements(stack.pop()):
+            if c not in out:
+                out.add(c)
+                stack.append(c)
     return out
 
 
@@ -133,7 +137,6 @@ class RunTrace:
     bound: int
     states: list[State] = field(default_factory=list)
     active_sizes: list[int] = field(default_factory=list)
-    updates: list[frozenset[Update]] = field(default_factory=list)
     final_state: State | None = None
     witness: State | None = None
     witness_active: int | None = None
@@ -189,6 +192,5 @@ def run(
             trace.outcome = RunOutcome.STEP_LIMIT
             trace.final_state = state
             return trace
-        state, ups = step(state, machine.program)
-        trace.updates.append(ups)
+        state, _ = step(state, machine.program)
         trace.steps += 1

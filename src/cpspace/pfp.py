@@ -20,17 +20,19 @@ stopping on a fixed point (a repeated non-fixed stage yields all-empty
 tables, the usual convention for partial fixed points) recovers the
 run of the machine table-for-table, without stepping states.
 
-Dynamic atoms read one table mapping: a live state's tables, or stage
-tables of the same shape, so one update formula per name serves both.
-A formula is compiled into nested closures once for each shape of
-environment it meets (the names bound, the fixed-point relations being
-iterated), and its guard plan is fixed then: quantifiers prefer guards
--- membership in an evaluated set, an equation pinning the variable, a
-table row -- and fall back to enumerating a supplied object universe;
-evaluation without guards or a universe, or of an atom whose name has
-no table, is an error when reached, not a silent wrong answer.  The
-same evaluator handles explicit fixed-point operators in sentences over
-pure set structures.
+Dynamic atoms ("f(args) = value") read one table mapping: a live
+state's tables, or stage tables of the same shape, so one update formula
+per name serves both.  Row atoms read only the relation that an
+enclosing fixed-point operator is iterating.  A formula is compiled into
+nested closures once for each shape of environment it meets (the names
+bound, the fixed-point relations being iterated), and its guard plan is
+fixed then: quantifiers prefer guards -- membership in an evaluated set,
+an equation pinning the variable, a table entry, a row of an iterated
+relation -- and fall back to enumerating a supplied object universe;
+evaluation without guards or a universe, of a dynamic atom whose name
+has no table, or of a row atom outside its operator, is an error when
+reached, not a silent wrong answer.  The same evaluator handles explicit
+fixed-point operators in sentences over pure set structures.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ class DynEq(Formula):
 
 @dataclass(frozen=True)
 class ResAtom(Formula):
-    """Table atom: the row args (last slot: value) is present."""
+    """Row atom: args is a row of rel, the relation that an enclosing
+    `PFPOp` over rel is iterating."""
 
     name: str
     args: tuple[Term, ...]
@@ -321,23 +324,7 @@ def rule_variable_names(rule: Rule) -> set[str]:
 # -- flattening dynamic subterms --------------------------------------------------
 
 
-def dyn_atom(name: str, args: tuple[Term, ...], value: Term, mode: str, fresh: FreshNames) -> Formula:
-    """The atom "name(args) = value", in the requested reading."""
-    if mode == "state":
-        return DynEq(name, args, value)
-    # stage tables store no empty-set values, so "= 0" means "no row"
-    w = fresh.make("_tnf")
-    present = ResAtom(name, args + (value,))
-    absent = mk_and([
-        mk_eq(value, FALSE_TERM),
-        mk_not(mk_exists(w, ResAtom(name, args + (Variable(w),)))),
-    ])
-    if value == FALSE_TERM:
-        return mk_not(mk_exists(w, ResAtom(name, args + (Variable(w),))))
-    return mk_or([present, absent])
-
-
-def value_formula(term: Term, var: str, sig: Signature, mode: str, fresh: FreshNames) -> Formula:
+def value_formula(term: Term, var: str, sig: Signature, fresh: FreshNames) -> Formula:
     """A formula stating that `term` evaluates to the value of `var`."""
     if not term_contains_dynamic(term, sig):
         return TermEq(Variable(var), term)
@@ -351,12 +338,12 @@ def value_formula(term: Term, var: str, sig: Signature, mode: str, fresh: FreshN
     for a in term.args:
         if term_contains_dynamic(a, sig):
             wa = fresh.make("_tnf")
-            wrapped.append((wa, value_formula(a, wa, sig, mode, fresh)))
+            wrapped.append((wa, value_formula(a, wa, sig, fresh)))
             new_args.append(Variable(wa))
         else:
             new_args.append(a)
     if sig.is_dynamic(term.name):
-        out = dyn_atom(term.name, tuple(new_args), Variable(var), mode, fresh)
+        out = DynEq(term.name, tuple(new_args), Variable(var))
     else:
         out = TermEq(Variable(var), Apply(term.name, tuple(new_args)))
     for wa, sub in reversed(wrapped):
@@ -364,25 +351,25 @@ def value_formula(term: Term, var: str, sig: Signature, mode: str, fresh: FreshN
     return out
 
 
-def bool_formula(term: Term, sig: Signature, mode: str, fresh: FreshNames) -> Formula:
+def bool_formula(term: Term, sig: Signature, fresh: FreshNames) -> Formula:
     """A formula stating that `term` evaluates to 1."""
     if not term_contains_dynamic(term, sig):
         return TermEq(term, TRUE_TERM)
     w = fresh.make("_tnf")
     return mk_exists(w, mk_and([
-        value_formula(term, w, sig, mode, fresh),
+        value_formula(term, w, sig, fresh),
         TermEq(Variable(w), TRUE_TERM),
     ]))
 
 
-def eq_formula(left: Term, right: Term, sig: Signature, mode: str, fresh: FreshNames) -> Formula:
+def eq_formula(left: Term, right: Term, sig: Signature, fresh: FreshNames) -> Formula:
     """val(left) = val(right), flattening either side if it is dynamic."""
     if not term_contains_dynamic(left, sig) and not term_contains_dynamic(right, sig):
         return mk_eq(left, right)
     w = fresh.make("_tnf")
     return mk_exists(w, mk_and([
-        value_formula(left, w, sig, mode, fresh),
-        value_formula(right, w, sig, mode, fresh),
+        value_formula(left, w, sig, fresh),
+        value_formula(right, w, sig, fresh),
     ]))
 
 
@@ -395,7 +382,6 @@ def _upd_member(
     arg_vars: tuple[str, ...],
     val_var: str,
     sig: Signature,
-    mode: str,
     fresh: FreshNames,
 ) -> Formula:
     """The update f(arg_vars) := val_var is issued by the rule."""
@@ -407,29 +393,29 @@ def _upd_member(
         parts = []
         for xv, t in zip(arg_vars, rule.args):
             if term_contains_dynamic(t, sig):
-                parts.append(value_formula(t, xv, sig, mode, fresh))
+                parts.append(value_formula(t, xv, sig, fresh))
             else:
                 parts.append(TermEq(Variable(xv), t))
         t0 = rule.value
         if term_contains_dynamic(t0, sig):
-            parts.append(value_formula(t0, val_var, sig, mode, fresh))
+            parts.append(value_formula(t0, val_var, sig, fresh))
         else:
             parts.append(TermEq(Variable(val_var), t0))
         return mk_and(parts)
     if isinstance(rule, If):
-        cond = bool_formula(rule.cond, sig, mode, fresh)
-        then_f = _upd_member(rule.then_rule, fname, arg_vars, val_var, sig, mode, fresh)
-        else_f = _upd_member(rule.else_rule, fname, arg_vars, val_var, sig, mode, fresh)
+        cond = bool_formula(rule.cond, sig, fresh)
+        then_f = _upd_member(rule.then_rule, fname, arg_vars, val_var, sig, fresh)
+        else_f = _upd_member(rule.else_rule, fname, arg_vars, val_var, sig, fresh)
         return mk_or([mk_and([cond, then_f]), mk_and([mk_not(cond), else_f])])
     if isinstance(rule, Forall):
-        body = _upd_member(rule.body, fname, arg_vars, val_var, sig, mode, fresh)
+        body = _upd_member(rule.body, fname, arg_vars, val_var, sig, fresh)
         if not term_contains_dynamic(rule.source, sig):
             return mk_exists(rule.var, mk_and([
                 Member(Variable(rule.var), rule.source), body]))
         w = fresh.make("_tnf")
         inner = mk_exists(rule.var, mk_and([Member(Variable(rule.var), Variable(w)), body]))
         return mk_exists(w, mk_and([
-            value_formula(rule.source, w, sig, mode, fresh), inner]))
+            value_formula(rule.source, w, sig, fresh), inner]))
     raise TypeError(f"not a rule: {rule!r}")
 
 
@@ -473,7 +459,7 @@ def _rename_occurrence(path: tuple, assign: Assign, fresh: FreshNames):
     return binders, conds, args, value
 
 
-def consistency_formula(rule: Rule, sig: Signature, mode: str, fresh: FreshNames) -> Formula:
+def consistency_formula(rule: Rule, sig: Signature, fresh: FreshNames) -> Formula:
     """No two assignment occurrences can hit one location with two values."""
     occurrences: list = []
     _collect_assignments(rule, (), occurrences)
@@ -489,11 +475,11 @@ def consistency_formula(rule: Rule, sig: Signature, mode: str, fresh: FreshNames
             b2, c2, args2, val2 = _rename_occurrence(path2, a2, fresh)
             parts: list[Formula] = []
             for cond, positive in c1 + c2:
-                b = bool_formula(cond, sig, mode, fresh)
+                b = bool_formula(cond, sig, fresh)
                 parts.append(b if positive else mk_not(b))
             for s, t in zip(args1, args2):
-                parts.append(eq_formula(s, t, sig, mode, fresh))
-            parts.append(mk_not(eq_formula(val1, val2, sig, mode, fresh)))
+                parts.append(eq_formula(s, t, sig, fresh))
+            parts.append(mk_not(eq_formula(val1, val2, sig, fresh)))
             matrix = mk_and(parts)
             for w, src in reversed(b1 + b2):
                 matrix = mk_exists(w, mk_and([Member(Variable(w), src), matrix]))
@@ -509,7 +495,7 @@ class UpdateFormula:
     formula: Formula
 
 
-def update_formula(program: Program, fname: str, mode: str = "state") -> UpdateFormula:
+def update_formula(program: Program, fname: str) -> UpdateFormula:
     """upd(args, val): the rule issues this update and nothing clashes."""
     sig = program.signature
     info = sig.dynamic_info(fname)
@@ -518,8 +504,8 @@ def update_formula(program: Program, fname: str, mode: str = "state") -> UpdateF
     fresh = FreshNames(rule_variable_names(program.rule))
     arg_vars = tuple(fresh.make("_x") for _ in range(info[0]))
     val_var = fresh.make("_y")
-    mem = _upd_member(program.rule, fname, arg_vars, val_var, sig, mode, fresh)
-    con = consistency_formula(program.rule, sig, mode, fresh)
+    mem = _upd_member(program.rule, fname, arg_vars, val_var, sig, fresh)
+    con = consistency_formula(program.rule, sig, fresh)
     return UpdateFormula(fname, arg_vars, val_var, mk_and([mem, con]))
 
 
@@ -529,8 +515,8 @@ def update_formula(program: Program, fname: str, mode: str = "state") -> UpdateF
 @dataclass
 class Env:
     """Evaluation context.  Terms always read `term_state`; dynamic atoms
-    (`DynEq`, and `ResAtom` on a relation not being iterated) read
-    `tables`, or the tables of `term_state` when `tables` is None."""
+    (`DynEq`) read `tables`, or the tables of `term_state` when `tables`
+    is None; row atoms (`ResAtom`) read `pfp_rels`."""
 
     term_state: State
     binding: dict[str, ObjId] = field(default_factory=dict)
@@ -665,10 +651,9 @@ def _compile(phi: Formula, shape: _Shape):
         if name in shape.rels:
             return lambda run: args(run) in run.rels[name]
 
-        def row(run):
-            vals = args(run)
-            return _table(run, name).get(vals[:-1]) == vals[-1]
-        return row
+        def outside(run):
+            raise FormulaError(f"row atom of {name!r} outside a fixed-point operator over it")
+        return outside
     if isinstance(phi, Exists):
         return _exists(phi.var, phi.body, shape)
     if isinstance(phi, PFPOp):
@@ -848,10 +833,10 @@ def _guards(var: str, conjuncts: tuple[Formula, ...], shape: _Shape):
                      if a == v]
         elif isinstance(c, DynEq) and c.value == v:
             forms = [(c.args, partial(_lookup, c.name))]
-        elif isinstance(c, ResAtom) and c.args.count(v) == 1:
+        elif isinstance(c, ResAtom) and c.name in shape.rels and c.args.count(v) == 1:
             fixed = [i for i, a in enumerate(c.args) if a != v]
             forms = [(tuple(c.args[i] for i in fixed),
-                      partial(_rows, c.name, c.name in shape.rels, c.args.index(v), fixed))]
+                      partial(_rows, c.name, c.args.index(v), fixed))]
         for terms, values in forms:
             fvs = [free_vars(t) for t in terms]
             if any(var in fv for fv in fvs) or any(
@@ -884,15 +869,8 @@ def _lookup(name, run, *args):
     return None if tbl is None else (tbl.get(args, run.empty),)
 
 
-def _rows(name, in_rels, pos, fixed, run, *vals):
-    if in_rels:
-        rows = run.rels[name]
-    else:
-        tbl = run.tables.get(name)
-        if tbl is None:
-            return None
-        rows = [args + (val,) for args, val in tbl.items()]
-    return [row[pos] for row in rows if all(row[i] == x for i, x in zip(fixed, vals))]
+def _rows(name, pos, fixed, run, *vals):
+    return [row[pos] for row in run.rels[name] if all(row[i] == x for i, x in zip(fixed, vals))]
 
 
 def _pfp_op(phi: PFPOp, shape: _Shape):

@@ -3,9 +3,9 @@
 Every quantifier and every stage of a fixed-point operator ranges over an
 explicit object list: nothing is guarded, spliced or compiled.  Terms are
 read with `machine.eval_term`; dynamic atoms read one table mapping, the
-given tables or else the state's own, which relations being iterated
-shadow; and a fixed-point operator whose stages never repeat a fixed
-point denotes the empty relation.  It is slow by design: it is the
+given tables or else the state's own; row atoms read only the relations
+being iterated; and a fixed-point operator whose stages never repeat a
+fixed point denotes the empty relation.  It is slow by design: it is the
 definition `pfp.eval_formula` must agree with.
 """
 
@@ -54,10 +54,7 @@ def holds(phi, state, binding, objects, tables=None, rels=None) -> bool:
             args = tuple(val(a, b) for a in phi.args)
             return tables[phi.name].get(args, u.empty) == val(phi.value, b)
         if isinstance(phi, ResAtom):
-            row = tuple(val(a, b) for a in phi.args)
-            if phi.name in rels:
-                return row in rels[phi.name]
-            return tables[phi.name].get(row[:-1]) == row[-1]
+            return tuple(val(a, b) for a in phi.args) in rels[phi.name]
         if isinstance(phi, Exists):
             return any(ev(phi.body, {**b, phi.var: o}, rels) for o in objects)
         if isinstance(phi, PFPOp):

@@ -71,6 +71,37 @@ class TestActiveMeasure:
         assert active_objects(state) == {0, 1, u.empty, u.one, one_set, stored}
 
 
+class TestActiveObjectsAgainstClosures:
+    """`active_objects` walks once from the critical objects; the union of
+    their closures by `Universe.tc` is the definition it must agree with."""
+
+    @staticmethod
+    def union_of_closures(state):
+        u = state.universe
+        out = set()
+        for x in critical_objects(state):
+            out.update(u.tc(x))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.machine")))
+    def test_every_state_of_each_fixture(self, name):
+        machine = fixture(f"{name}.machine")
+        inputs = [make_input(2), make_input(3)]
+        if machine.program.signature.is_input("E"):
+            inputs.append(parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8")))
+        for inp in inputs:
+            trace = run(machine, inp, max_steps=100)  # deep never halts
+            states = trace.states + [s for s in (trace.witness,) if s is not None]
+            for state in states:
+                assert active_objects(state) == self.union_of_closures(state), name
+
+    def test_every_state_of_the_deep_run(self):
+        trace = run(fixture("deep.machine"), make_input(3), TestDeepRank.STEPS)
+        assert len(trace.states) == TestDeepRank.STEPS + 1
+        for state in trace.states:
+            assert active_objects(state) == self.union_of_closures(state)
+
+
 class TestOutcomes:
     def test_accept(self):
         trace = run(fixture("halt_accept.machine"), make_input(3))

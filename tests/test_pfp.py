@@ -106,14 +106,14 @@ class TestValueFormulas:
         p = prog("skip", header="signature:\n  dynamic c/0\n")
         sig = p.signature
         fresh = FreshNames(set())
-        phi = value_formula(Apply("Pair", (TRUE, FALSE)), "w", sig, "state", fresh)
+        phi = value_formula(Apply("Pair", (TRUE, FALSE)), "w", sig, fresh)
         assert phi == TermEq(Variable("w"), Apply("Pair", (TRUE, FALSE)))
 
     def test_bool_formula_static(self):
         p = prog("skip", header="signature:\n  input E/2\n")
         fresh = FreshNames(set())
         cond = Apply("E", (Variable("v"), Variable("v")))
-        assert bool_formula(cond, p.signature, "state", fresh) == TermEq(cond, TRUE)
+        assert bool_formula(cond, p.signature, fresh) == TermEq(cond, TRUE)
 
     def test_dynamic_under_comprehension_rejected(self):
         p = prog("skip", header="signature:\n  dynamic c/0\n")
@@ -121,11 +121,11 @@ class TestValueFormulas:
                              Apply("in", (Variable("v"), Apply("c"))))
         fresh = FreshNames(set())
         with pytest.raises(UnsupportedRule, match="comprehension"):
-            value_formula(term, "w", p.signature, "state", fresh)
+            value_formula(term, "w", p.signature, fresh)
         bad = prog("d := {v | v in Atoms, v in c}",
                    header="signature:\n  dynamic c/0\n  dynamic d/0\n")
         with pytest.raises(UnsupportedRule):
-            update_formula(bad, "d", mode="state")
+            update_formula(bad, "d")
 
 
 ORACLE_RULES = [
@@ -187,7 +187,7 @@ class TestUpdateFormulaOracle:
             delta = update_set(state, program.rule)
             consistent = is_consistent(delta)
             for fname in fnames:
-                upd = update_formula(program, fname, mode="state")
+                upd = update_formula(program, fname)
                 probes = [(args, val) for (g, args, val) in delta if g == fname]
                 for _ in range(8):
                     probes.append((
@@ -205,13 +205,13 @@ class TestUpdateFormulaOracle:
                        header="signature:\n  dynamic c/0\n")
         state = initial_state(program, make_input(3))
         u = state.universe
-        upd = update_formula(program, "c", mode="state")
+        upd = update_formula(program, "c")
         for y in [u.empty, u.one, u.atom(0), u.atom(1)]:
             assert not eval_formula(upd.formula, Env(state, {upd.val_var: y}))
 
     def test_skip_has_no_updates(self):
         program = prog("skip", header="signature:\n  dynamic c/0\n")
-        upd = update_formula(program, "c", mode="state")
+        upd = update_formula(program, "c")
         assert upd.formula == FALSEF
 
 
@@ -253,7 +253,7 @@ class TestEvaluation:
             "if E(g(g(c)), TheUnique({v | v in Atoms, E(v, v)}))"
             " then d := true endif",
             header=header)
-        upd = update_formula(program, "d", mode="state")
+        upd = update_formula(program, "d")
         for pairs in [{(0, 2), (2, 2)}, {(0, 1), (2, 2)}]:
             state = initial_state(program, make_input(3, {"E": pairs}))
             u = state.universe
@@ -264,15 +264,6 @@ class TestEvaluation:
             for val in [u.one, u.empty]:
                 got = eval_formula(upd.formula, Env(state, {upd.val_var: val}))
                 assert got == (("d", (), val) in delta)
-
-    def test_row_atom_reads_stage_tables(self):
-        program = prog("skip", header="signature:\n  dynamic c/0\n")
-        state = initial_state(program, make_input(2))
-        u = state.universe
-        tables = {"c": {(): u.one}}
-        phi = ResAtom("c", (Variable("y"),))
-        assert eval_formula(phi, Env(state, {"y": u.one}, tables=tables))
-        assert not eval_formula(phi, Env(state, {"y": u.empty}, tables=tables))
 
     def test_state_atom_reads_the_given_tables(self):
         # f(args) = v reads env.tables, not the state, and a missing row
@@ -398,25 +389,20 @@ class TestFixedPointOperator:
 
 
 class TestGoldenExtraction:
-    def golden_check(self, program, fname, mode, path):
-        upd = update_formula(program, fname, mode=mode)
+    def golden_check(self, program, fname, path):
+        upd = update_formula(program, fname)
         text = f"; upd for {fname}({', '.join(upd.arg_vars)}) := {upd.val_var}\n"
         text += formula_sexpr(upd.formula) + "\n"
         assert text == (GOLDEN / path).read_text(encoding="utf-8")
 
     def test_toggle_state_mode(self):
         p = parse_program((FIXTURES / "toggle.machine").read_text(encoding="utf-8"))
-        self.golden_check(p, "c", "state", "toggle_upd_state.sexpr")
-
-    def test_toggle_table_mode(self):
-        p = parse_program((FIXTURES / "toggle.machine").read_text(encoding="utf-8"))
-        self.golden_check(p, "c", "table", "toggle_upd_table.sexpr")
+        self.golden_check(p, "c", "toggle_upd_state.sexpr")
 
     def test_diagonal_marker(self):
         p = prog("forall v in Atoms do if E(v, v) then m(v) := true endif enddo",
                  header="signature:\n  input E/2\n  dynamic m/1 relational\n")
-        self.golden_check(p, "m", "state", "mark_diag_upd_state.sexpr")
-        self.golden_check(p, "m", "table", "mark_diag_upd_table.sexpr")
+        self.golden_check(p, "m", "mark_diag_upd_state.sexpr")
 
 
 def quantifier_depth(phi) -> int:
@@ -453,12 +439,10 @@ class TestAgainstTarski:
     tests/tarski.py, where every quantifier enumerates an object list."""
 
     def test_update_formulas_of_random_triples(self):
-        # table mode is checked against state mode on every formula, with
-        # the object universe to fall back on as in the stage induction;
         # the brute-force reading costs about |objects| ** (quantifier
         # depth) per probe, so it checks shallow formulas only, and deeper
-        # ones are left to criterion 1, which checks every state-mode
-        # formula against the interpreter
+        # ones are left to criterion 1, which checks every update formula
+        # against the interpreter
         rng = random.Random(20261018)
         checked = 0
         for _ in range(400):
@@ -467,27 +451,23 @@ class TestAgainstTarski:
             pool = list(u.atoms())[:2] + [u.empty, u.one]
             probes = []
             for name, arity, _rel in program.signature.dynamics:
-                upds = [update_formula(program, name, mode=mode) for mode in ("state", "table")]
-                depth = max(quantifier_depth(upd.formula) for upd in upds)
+                upd = update_formula(program, name)
+                depth = quantifier_depth(upd.formula)
                 shallow = u.size() ** depth <= 10 ** 4
                 checked += shallow and depth > 0
                 for args in itertools.product(pool, repeat=arity):
                     for val in pool:
                         bound = dict(binding)
-                        bound.update(zip(upds[0].arg_vars, args))
-                        bound[upds[0].val_var] = val
-                        value = eval_formula(upds[0].formula, Env(state, dict(bound)))
-                        probes.append((upds, bound, value, shallow))
-            # every witness a state-mode guard allows is interned by now
+                        bound.update(zip(upd.arg_vars, args))
+                        bound[upd.val_var] = val
+                        value = eval_formula(upd.formula, Env(state, dict(bound)))
+                        if shallow:
+                            probes.append((upd, bound, value))
+            # every witness a guard allows is interned by now
             objects = list(range(u.size()))
-            for (state_upd, table_upd), bound, value, shallow in probes:
-                env = Env(state, dict(bound), state.tables, objects)
-                assert eval_formula(table_upd.formula, env) == value, (
-                    program.rule, formula_sexpr(table_upd.formula), bound)
-                if shallow:
-                    for upd in (state_upd, table_upd):
-                        assert tarski.holds(upd.formula, state, bound, objects) == value, (
-                            program.rule, formula_sexpr(upd.formula), bound)
+            for upd, bound, value in probes:
+                assert tarski.holds(upd.formula, state, bound, objects) == value, (
+                    program.rule, formula_sexpr(upd.formula), bound)
         assert checked >= 100
 
     def test_block_variables_that_shadow_a_binding(self):
@@ -599,8 +579,8 @@ class TestAgainstTarski:
 
 
 class TestPlans:
-    """A formula compiles once per shape of environment: binding names,
-    state or table mode, and the relations with rows."""
+    """A formula compiles once per shape of environment: the binding
+    names and the fixed-point relations being iterated."""
 
     def test_binding_names_select_the_plan(self):
         state = initial_state(prog("skip"), make_input(3))
@@ -629,14 +609,13 @@ class TestPlans:
         dyn = DynEq("c", (), Variable("y"))
         row = ResAtom("c", (Variable("y"),))
         for _ in range(2):
-            for phi in (dyn, row):
-                assert eval_formula(phi, Env(state, {"y": u.one}))
-                assert not eval_formula(phi, Env(state, {"y": u.one}, tables={"c": {}}))
-                assert eval_formula(phi, Env(state, {"y": u.one}, tables={"c": {(): u.one}}))
+            assert eval_formula(dyn, Env(state, {"y": u.one}))
+            assert not eval_formula(dyn, Env(state, {"y": u.one}, tables={"c": {}}))
+            assert eval_formula(dyn, Env(state, {"y": u.one}, tables={"c": {(): u.one}}))
             assert eval_formula(row, Env(state, {"y": u.one}, pfp_rels={"c": {(u.one,)}}))
-            assert not eval_formula(row, Env(state, {"y": u.one}, tables={"c": {}},
+            assert not eval_formula(row, Env(state, {"y": u.one}, tables={"c": {(): u.one}},
                                              pfp_rels={"c": set()}))
-        assert len(row._plans) == 2 and len(dyn._plans) == 1
+        assert len(row._plans) == 1 and len(dyn._plans) == 1
 
     def test_errors_are_raised_only_when_reached(self):
         program = prog("skip", header="signature:\n  dynamic c/0\n")
@@ -647,19 +626,29 @@ class TestPlans:
         with pytest.raises(FormulaError, match="no guard and no object universe"):
             eval_formula(Or((TermEq(TRUE, FALSE), unguarded)), Env(state))
         assert eval_formula(Or((holds, unguarded)), Env(state))
-        # an atom whose name has no table, read from the state or from the
-        # given tables, raises only when evaluated; its guard yields nothing
-        for atom in (DynEq("e", (), TRUE), ResAtom("e", (TRUE,))):
-            for env in (Env(state), Env(state, {}, tables={"c": {}})):
-                with pytest.raises(FormulaError, match="no table for relation 'e'"):
+        # a dynamic atom whose name has no table, read from the state or
+        # from the given tables, and a row atom outside a fixed-point
+        # operator over its relation, whatever tables there are, raise only
+        # when evaluated
+        no_table = (Env(state), Env(state, {}, tables={"c": {}}))
+        with_table = Env(state, {}, tables={"e": {(): u.one}})
+        cases = ((DynEq("e", (), TRUE), "no table for relation 'e'", no_table),
+                 (ResAtom("e", (TRUE,)), "row atom of 'e' outside", no_table + (with_table,)))
+        for atom, message, envs in cases:
+            for env in envs:
+                with pytest.raises(FormulaError, match=message):
                     eval_formula(Or((TermEq(TRUE, FALSE), atom)), env)
                 assert eval_formula(Or((holds, atom)), env)
                 assert not eval_formula(And((Not(holds), atom)), env)
+        # the dynamic atom's guard yields nothing; the row atom gives no guard
         guarded = Exists("w", And((DynEq("e", (), Variable("w")), TermEq(Variable("w"), TRUE))))
         with pytest.raises(FormulaError, match="no table for relation 'e'"):
             eval_formula(guarded, Env(state, {}, objects=[u.empty, u.one]))
+        row = Exists("w", ResAtom("e", (Variable("w"),)))
         with pytest.raises(FormulaError, match="no guard and no object universe"):
-            eval_formula(Exists("w", ResAtom("e", (Variable("w"),))), Env(state))
+            eval_formula(row, Env(state, {}, tables={"e": {(): u.one}}))
+        with pytest.raises(FormulaError, match="row atom of 'e' outside"):
+            eval_formula(row, Env(state, {}, tables={"e": {(): u.one}}, objects=[u.empty]))
 
     def test_plans_live_only_as_long_as_their_formulas(self):
         # reference counting alone frees each formula with its plans: no
