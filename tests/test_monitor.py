@@ -91,8 +91,8 @@ class TestActiveObjectsAgainstClosures:
             inputs.append(parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8")))
         for inp in inputs:
             trace = run(machine, inp, max_steps=100)  # deep never halts
-            states = trace.states + [s for s in (trace.witness,) if s is not None]
-            for state in states:
+            witness = [] if trace.witness is None else [trace.witness]
+            for state in trace.states + witness:
                 assert active_objects(state) == self.union_of_closures(state), name
 
     def test_every_state_of_the_deep_run(self):
