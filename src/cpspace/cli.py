@@ -58,6 +58,8 @@ from .symmetry import (
     SymmetryError,
     build_fragment,
     check_support_theorem,
+    form_apply,
+    form_of,
     format_config,
     format_form,
     in_eq_relations,
@@ -191,7 +193,7 @@ def _load_board(path: str) -> GameStructure:
     try:
         frag = parse_fragment(text)
         return GameStructure.from_fragment(frag)
-    except (SymmetryError, PebbleError, ValueError, KeyError) as err:
+    except (SymmetryError, PebbleError) as err:
         raise CliFail(11, f"{path}: {err}") from err
 
 
@@ -409,8 +411,6 @@ def cmd_symmetry_fragment(cfg: ExperimentConfig, em: Emitter) -> int:
 
 
 def cmd_symmetry_forms(cfg: ExperimentConfig, em: Emitter) -> int:
-    from .symmetry import form_apply, form_of  # heavy path, keep import local
-
     frag = build_fragment(cfg.n, cfg.k, cfg.r, cfg.budget)
     u = frag.universe
     em.emit(

@@ -8,7 +8,8 @@ be stored as a sorted tuple of child handles.
 
 Conventions baked in here and relied on everywhere else:
 
-* atoms are interned first and atom i has handle i;
+* atoms are interned first and atom i has handle i, so a handle is an
+  atom exactly when it is below the atom count; an atom has no children;
 * the empty set has the distinguished handle ``Universe.empty`` and
   encodes both logical false and the default value of every unset
   machine location; ``{empty}`` has handle ``Universe.one`` and encodes
@@ -52,9 +53,6 @@ AtomId = int
 # A permutation of n atoms as an image tuple: p[i] is the image of atom i.
 Perm = tuple[int, ...]
 
-_ATOM = 0
-_SET = 1
-
 # Atoms are labelled 1..n; sets get labels above n, spread _GAP apart
 # whenever they are relabelled, so that sets placed one by one can take
 # midpoints between neighbours for a while before the next relabel.
@@ -72,8 +70,7 @@ class Universe:
         if n_atoms < 0:
             raise HFError("atom count must be non-negative")
         self.n_atoms = n_atoms
-        self._kind: list[int] = []
-        self._payload: list = []        # atom index, or sorted child tuple
+        self._payload: list[tuple[ObjId, ...]] = []  # sorted children; () for atoms
         self._label: list[int | None] = []  # order label; None while pending
         self._order: list[ObjId] = []   # labelled sets, in canonical order
         self._pending: list[ObjId] = []  # unlabelled sets, in creation order
@@ -82,7 +79,7 @@ class Universe:
         # per-universe memo tables: the swap maps, and other modules' tables
         self.caches: dict[str, dict] = {}
         for i in range(n_atoms):
-            self._add(_ATOM, i, i + 1)
+            self._add((), i + 1)
         self.empty: ObjId = self._intern_set(())
         self.one: ObjId = self._intern_set((self.empty,))
         self._order, self._pending = [self.empty, self.one], []  # {} < {{}}
@@ -90,18 +87,17 @@ class Universe:
         self._atoms_tuple = tuple(range(n_atoms))
         self._atoms_set: ObjId | None = None  # interned on first use
 
-    def _add(self, kind: int, payload, label: int | None) -> ObjId:
-        self._kind.append(kind)
-        self._payload.append(payload)
+    def _add(self, children: tuple[ObjId, ...], label: int | None) -> ObjId:
+        self._payload.append(children)
         self._label.append(label)
-        self._rank.append(0 if kind == _ATOM else None)
-        return len(self._kind) - 1
+        self._rank.append(None if children else 0)
+        return len(self._payload) - 1
 
     def _intern_set(self, children: tuple[ObjId, ...]) -> ObjId:
         got = self._set_table.get(children)
         if got is not None:
             return got
-        x = self._add(_SET, children, None)
+        x = self._add(children, None)
         self._set_table[children] = x
         self._pending.append(x)
         return x
@@ -161,13 +157,13 @@ class Universe:
 
     def size(self) -> int:
         """Number of objects interned so far (used for budget checks)."""
-        return len(self._kind)
+        return len(self._payload)
 
     def is_atom(self, x: ObjId) -> bool:
-        return self._kind[x] == _ATOM
+        return x < self.n_atoms
 
     def is_set(self, x: ObjId) -> bool:
-        return self._kind[x] == _SET
+        return x >= self.n_atoms
 
     def atom(self, i: AtomId) -> ObjId:
         if not 0 <= i < self.n_atoms:
@@ -178,19 +174,17 @@ class Universe:
         return self._atoms_tuple
 
     def atom_index(self, x: ObjId) -> AtomId:
-        if self._kind[x] != _ATOM:
+        if not 0 <= x < self.n_atoms:
             raise HFError("not an atom")
-        return self._payload[x]
+        return x
 
     def elements(self, x: ObjId) -> tuple[ObjId, ...]:
         """Children of a set in canonical order; atoms have no elements."""
-        if self._kind[x] == _ATOM:
-            return ()
         return self._payload[x]
 
     def contains(self, x: ObjId, e: ObjId) -> bool:
         """Membership e in x; false whenever x is an atom."""
-        return self._kind[x] == _SET and e in self._payload[x]
+        return e in self._payload[x]
 
     def sort_key(self, x: ObjId) -> int:
         """x's order label; valid only until the next object is interned."""
@@ -230,13 +224,11 @@ class Universe:
 
     def tc(self, x: ObjId) -> tuple[ObjId, ...]:
         """Transitive closure of x, including x itself, in canonical order."""
-        kind, payload = self._kind, self._payload
+        payload = self._payload
         acc = {x}
         stack = [x]
         while stack:
             y = stack.pop()
-            if kind[y] == _ATOM:
-                continue
             for c in payload[y]:
                 if c not in acc:
                     acc.add(c)
@@ -265,13 +257,13 @@ class Universe:
         got = memo.get(x)
         if got is not None:
             return got
-        kind, payload = self._kind, self._payload
+        n, payload = self.n_atoms, self._payload
         stack = [x]
         while stack:
             y = stack[-1]
             if y in memo:
                 stack.pop()
-            elif kind[y] == _ATOM:
+            elif y < n:
                 memo[y] = b if y == a else a if y == b else y  # atom i has handle i
                 stack.pop()
             else:
@@ -295,15 +287,15 @@ class Universe:
 
     def format_literal(self, x: ObjId) -> str:
         """Textual form: atoms a0, a1, ...; 0 for {}; 1 for {{}}; braces else."""
-        kind, payload = self._kind, self._payload
+        n, payload = self.n_atoms, self._payload
         out: list[str] = []
         stack: list[ObjId | str] = [x]  # objects still to write, and text between them
         while stack:
             y = stack.pop()
             if isinstance(y, str):
                 out.append(y)
-            elif kind[y] == _ATOM:
-                out.append(f"a{payload[y]}")
+            elif y < n:
+                out.append(f"a{y}")
             elif y == self.empty:
                 out.append("0")
             elif y == self.one:

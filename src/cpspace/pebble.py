@@ -16,6 +16,9 @@ other placed molecules on both sides, keyed by the spoiler's molecule,
 and the answer object from the `form_apply` memo keyed by (form,
 molecule).
 
+`DuplicatorState` is the one record of a placement: per pebble, the
+form with the molecule and the object on each side.
+
 `verify_duplicator` drives that strategy through every spoiler sequence
 up to a depth and checks the partial-isomorphism condition after each
 answer; `solve_game` ignores forms entirely and decides by backward
@@ -29,9 +32,9 @@ so it sets that (position, side, pebble) up once: one responder
 the rows and the memos, and one check (`_compiled_check`) holds the
 pins and the other placed pairs with their element tuples.  A move then
 costs the responder's probes and three comparisons per placed pair.
-`partial_iso` stays the definition: the verifier calls it to word a
-violation the compiled check found, and `GameSession` checks every
-position with it in full.
+`partial_iso` is the definition, with one path: the verifier calls it
+to word a violation the compiled check found, and `GameSession` checks
+every position with it.
 """
 
 from __future__ import annotations
@@ -126,59 +129,15 @@ def pin_pairs(a: GameStructure, b: GameStructure) -> tuple[tuple[ObjId, ObjId], 
     )
 
 
-@dataclass(frozen=True)
-class Position:
-    """Where the m pebbles sit: one partial placement per structure."""
+def partial_iso(a: GameStructure, b: GameStructure, pairs) -> str | None:
+    """None when the (A, B) pairs respect equality and membership both
+    ways, otherwise a description of the first violated biconditional.
 
-    a: tuple[ObjId | None, ...]
-    b: tuple[ObjId | None, ...]
-
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
-            raise PebbleError("both sides must track the same pebbles")
-        for i, (x, y) in enumerate(zip(self.a, self.b)):
-            if (x is None) != (y is None):
-                raise PebbleError(f"pebble {i} placed on one side only")
-
-    @classmethod
-    def empty(cls, m: int) -> "Position":
-        return cls((None,) * m, (None,) * m)
-
-    @property
-    def m(self) -> int:
-        return len(self.a)
-
-    def place(self, pebble: int, x: ObjId, y: ObjId) -> "Position":
-        if not 0 <= pebble < self.m:
-            raise PebbleError(f"no pebble {pebble}")
-        aa = list(self.a)
-        bb = list(self.b)
-        aa[pebble], bb[pebble] = x, y
-        return Position(tuple(aa), tuple(bb))
-
-    def pairs(self) -> tuple[tuple[ObjId, ObjId], ...]:
-        return tuple(
-            (x, y) for x, y in zip(self.a, self.b) if x is not None
-        )
-
-
-def partial_iso(
-    a: GameStructure, b: GameStructure, pairs, new: int | None = None
-) -> str | None:
-    """None when the pairs respect equality and membership both ways,
-    otherwise a description of the first violated biconditional.
-
-    With `new` given, only the combinations involving pairs[new] are
-    checked, in the same order: the caller knows that every other
-    combination holds (the list differs from a checked one in that pair
-    alone), so the first violation and its text are the same.
+    Every combination of two pairs, a pair with itself included, is
+    checked in list order.
     """
     ps = tuple(pairs)
-    if new is None:
-        combos = ((p, q) for i, p in enumerate(ps) for q in ps[i:])
-    else:
-        p = itertools.repeat(ps[new])
-        combos = itertools.chain(zip(ps[:new], p), zip(p, ps[new:]))
+    combos = ((p, q) for i, p in enumerate(ps) for q in ps[i:])
     ua, ub = a.universe, b.universe
     for (x1, y1), (x2, y2) in combos:
         if (x1 == x2) != (y1 == y2):
@@ -204,11 +163,14 @@ def partial_iso(
 # -- the duplicator's strategy ---------------------------------------------------
 
 class PebblePair(NamedTuple):
-    """One placed pebble: a shared form with a molecule on each side."""
+    """One placed pebble: a shared form with a molecule on each side, and
+    the object on each side (the form applied to that side's molecule)."""
 
     phi: Form
     sigma_a: Molecule
     sigma_b: Molecule
+    x_a: ObjId
+    x_b: ObjId
 
 
 def _entry_order(e: PebblePair):
@@ -216,7 +178,8 @@ def _entry_order(e: PebblePair):
 
 
 class DuplicatorState(NamedTuple):
-    """Per-pebble strategy data; None marks an unplaced pebble.
+    """The one record of the placed pebbles: a `PebblePair` per pebble,
+    None for an unplaced one.
 
     Both records are named tuples: the verifier makes one of each per
     spoiler move it plays on from (not for a move at the last depth).
@@ -234,6 +197,10 @@ class DuplicatorState(NamedTuple):
         the order by form identity only makes the key canonical within a
         process, and the key holds its forms, so no identity is reused."""
         return tuple(sorted((e for e in self.entries if e is not None), key=_entry_order))
+
+    def pairs(self) -> tuple[tuple[ObjId, ObjId], ...]:
+        """The placed (A, B) object pairs, in pebble order."""
+        return tuple((e.x_a, e.x_b) for e in self.entries if e is not None)
 
 
 def _patterns_match(lead_a, rows_a, lead_b, rows_b) -> bool:
@@ -331,17 +298,19 @@ def _placed(
     state: DuplicatorState,
     side: int,
     pebble: int,
+    x0: ObjId,
+    y0: ObjId,
     phi0: Form,
     sigma0: Molecule,
     answer: Molecule,
 ) -> DuplicatorState:
-    """The state after the spoiler's molecule sigma0 on `side` was
-    answered by `answer` on the other side, both with form phi0."""
+    """The state after the spoiler's x0 = (phi0, sigma0) on `side` was
+    answered by y0 = (phi0, answer) on the other side."""
     entries = list(state.entries)
     entries[pebble] = (
-        PebblePair(phi0, sigma0, answer)
+        PebblePair(phi0, sigma0, answer, x0, y0)
         if side == 0
-        else PebblePair(phi0, answer, sigma0)
+        else PebblePair(phi0, answer, sigma0, y0, x0)
     )
     return DuplicatorState(tuple(entries))
 
@@ -363,7 +332,7 @@ def duplicator_respond(
     `_responder`, which the verifier calls once per position).
     """
     y0, phi0, sigma0, answer = _responder(a, b, state, side, pebble)(x0)
-    return _placed(state, side, pebble, phi0, sigma0, answer), y0
+    return _placed(state, side, pebble, x0, y0, phi0, sigma0, answer), y0
 
 
 def _compiled_check(a: GameStructure, b: GameStructure, side: int, pairs):
@@ -468,7 +437,7 @@ def verify_duplicator(
     nodes = 0
     seen: set = set()
 
-    def walk(state: DuplicatorState, pairs, depth_left: int):
+    def walk(state: DuplicatorState, depth_left: int):
         nonlocal nodes
         if depth_left == 0:
             return None
@@ -482,8 +451,8 @@ def verify_duplicator(
                 # form a partial isomorphism (the pins alone hold in any
                 # two universes), so only combinations with the new pair
                 # are checked
-                head = pins + tuple(p for p in pairs[:i] if p is not None)
-                tail = tuple(p for p in pairs[i + 1:] if p is not None)
+                head = pins + DuplicatorState(state.entries[:i]).pairs()
+                tail = DuplicatorState(state.entries[i + 1:]).pairs()
                 respond = _responder(a, b, state, side, i)
                 holds = _compiled_check(a, b, side, head + tail)
                 for x0 in home.objects:
@@ -499,19 +468,17 @@ def verify_duplicator(
                     if not holds(x0, y0):
                         # the text is partial_iso's, the definition
                         pair = (x0, y0) if side == 0 else (y0, x0)
-                        reason = partial_iso(a, b, head + (pair,) + tail, new=len(head))
+                        reason = partial_iso(a, b, head + (pair,) + tail)
                         return [Move("AB"[side], i, x0, y0, reason)]
                     if depth_left == 1:
                         continue
-                    new_pairs = list(pairs)
-                    new_pairs[i] = (x0, y0) if side == 0 else (y0, x0)
-                    new_state = _placed(state, side, i, phi0, sigma0, answer)
-                    rest = walk(new_state, new_pairs, depth_left - 1)
+                    new_state = _placed(state, side, i, x0, y0, phi0, sigma0, answer)
+                    rest = walk(new_state, depth_left - 1)
                     if rest is not None:
                         return [Move("AB"[side], i, x0, y0)] + rest
         return None
 
-    trace = walk(DuplicatorState.fresh(m), [None] * m, depth)
+    trace = walk(DuplicatorState.fresh(m), depth)
     if trace is None:
         return GameReport(True, m, depth, nodes)
     return GameReport(False, m, depth, nodes, trace)
@@ -694,7 +661,6 @@ class GameSession:
         self.b = b
         self.m = m
         self.state = DuplicatorState.fresh(m)
-        self.position = Position.empty(m)
         self.moves: list[Move] = []
 
     def spoiler_move(self, side: str, pebble: int, literal: str) -> Move:
@@ -710,28 +676,15 @@ class GameSession:
             raise PebbleError(f"bad object literal: {err}") from err
         if x0 not in home:
             raise PebbleError(f"object not on the board: {literal}")
-        new_state, y0 = duplicator_respond(self.a, self.b, self.state, idx, pebble, x0)
-        self.state = new_state
-        if idx == 0:
-            self.position = self.position.place(pebble, x0, y0)
-        else:
-            self.position = self.position.place(pebble, y0, x0)
-        reason = partial_iso(
-            self.a,
-            self.b,
-            pin_pairs(self.a, self.b) + self.position.pairs(),
-        )
+        self.state, y0 = duplicator_respond(self.a, self.b, self.state, idx, pebble, x0)
+        reason = partial_iso(self.a, self.b, pin_pairs(self.a, self.b) + self.state.pairs())
         move = Move(side, pebble, x0, y0, reason or "")
         self.moves.append(move)
         return move
 
     def board_lines(self) -> list[str]:
-        out = []
-        for i, (x, y) in enumerate(zip(self.position.a, self.position.b)):
-            if x is None:
-                out.append(f"pebble {i}: -")
-            else:
-                out.append(
-                    f"pebble {i}: A {self.a.literal(x)}  |  B {self.b.literal(y)}"
-                )
-        return out
+        return [
+            f"pebble {i}: -" if e is None
+            else f"pebble {i}: A {self.a.literal(e.x_a)}  |  B {self.b.literal(e.x_b)}"
+            for i, e in enumerate(self.state.entries)
+        ]

@@ -53,6 +53,8 @@ from cpspace.machine import (
 )
 from cpspace.monitor import PSpaceMachine, RunOutcome, RunTrace, run
 from cpspace.syntax import (
+    FALSE_TERM,
+    TRUE_TERM,
     Apply,
     Assign,
     Comprehension,
@@ -68,9 +70,6 @@ from cpspace.syntax import (
     term_contains_dynamic,
     subst_term,
 )
-
-FALSE_TERM = Apply("false")
-TRUE_TERM = Apply("true")
 
 
 class FormulaError(Exception):

@@ -39,7 +39,7 @@ import os
 import weakref
 from dataclasses import dataclass
 
-from .hf import AtomId, ObjId, Perm, Universe, transpositions
+from .hf import AtomId, HFError, ObjId, Perm, Universe, transpositions
 
 DEFAULT_BUDGET = 200_000
 
@@ -307,12 +307,6 @@ class Config:
     @property
     def classes(self) -> int:
         return len(self.blocks)
-
-    def related(self, cell_a: tuple[int, int], cell_b: tuple[int, int]) -> bool:
-        for block in self.blocks:
-            if cell_a in block:
-                return cell_b in block
-        raise SymmetryError(f"cell {cell_a} outside the grid")
 
 
 def make_config(ell: int, k: int, blocks) -> Config:
@@ -896,40 +890,59 @@ class SymmetricFragment:
 
 
 def parse_fragment(text: str) -> SymmetricFragment:
+    """Read back `export_text`'s format.  Every fault in the text raises
+    SymmetryError, naming the line where there is one."""
     header = None
-    consts: dict[str, int] = {}
-    literals: list[tuple[int, str]] = []
+    consts: dict[str, tuple[int, str]] = {}
+    literals: list[tuple[int, str, str]] = []
     edges: list[tuple[int, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "fragment":
-            fields = dict(p.split("=", 1) for p in parts[1:])
-            header = (int(fields["n"]), int(fields["k"]), int(fields["r"]))
-        elif parts[0] == "constant":
-            consts[parts[1]] = int(parts[2])
-        elif parts[0] == "object":
-            literals.append((int(parts[1]), " ".join(parts[2:])))
-        elif parts[0] == "edge":
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise SymmetryError(f"unrecognized fragment line: {line}")
+        kind, *rest = line.split()
+        try:
+            if kind == "fragment":
+                fields = dict(p.split("=", 1) for p in rest)
+                header = (int(fields["n"]), int(fields["k"]), int(fields["r"]))
+                if min(header) < 0:
+                    raise SymmetryError(f"fragment parameters must be non-negative: {line}")
+            elif kind == "constant":
+                name, idx = rest
+                if name not in ("empty", "one"):
+                    raise SymmetryError(f"unknown constant: {line}")
+                consts[name] = (int(idx), line)
+            elif kind == "object":
+                idx, *lit = rest
+                literals.append((int(idx), " ".join(lit), line))
+            elif kind == "edge":
+                i, j = rest
+                edges.append((int(i), int(j)))
+            else:
+                raise SymmetryError(f"unrecognized fragment line: {line}")
+        except (ValueError, KeyError) as err:
+            raise SymmetryError(f"malformed fragment line: {line}") from err
     if header is None:
         raise SymmetryError("missing fragment header line")
     n, k, r = header
-    if sorted(i for i, _ in literals) != list(range(len(literals))):
+    if sorted(i for i, _, _ in literals) != list(range(len(literals))):
         raise SymmetryError("object indices must cover 0..count-1 exactly")
     u = Universe(n)
     objects = [u.empty] * len(literals)
-    for i, lit in literals:
-        objects[i] = u.parse_literal(lit)
+    for i, lit, line in literals:
+        try:
+            objects[i] = u.parse_literal(lit)
+        except HFError as err:
+            raise SymmetryError(f"bad object literal ({err}): {line}") from err
     frag = SymmetricFragment(u, n, k, r, tuple(objects))
-    for name, idx in consts.items():
+    for name, (idx, line) in consts.items():
+        if not 0 <= idx < len(objects):
+            raise SymmetryError(f"constant points at no object: {line}")
         expect = u.empty if name == "empty" else u.one
         if objects[idx] != expect:
             raise SymmetryError(f"constant {name} points at the wrong object")
+    if not frag.is_transitive():
+        raise SymmetryError("objects are not closed under elements")
     declared = set(edges)
     actual = set(frag.membership_edges())
     if declared != actual:

@@ -246,7 +246,6 @@ class Program:
 
 TRUE_TERM = Apply("true")
 FALSE_TERM = Apply("false")
-EMPTYSET_TERM = Apply("emptyset")
 
 
 # -- free variables ------------------------------------------------------------
@@ -474,24 +473,30 @@ class _Parser:
             self.next()
             span = (t.line, t.col)
             name = t.text
-            args: tuple[Term, ...] = ()
-            has_parens = self.peek().kind == "op" and self.peek().text == "("
-            if has_parens:
-                self.next()
-                arglist = []
-                if not (self.peek().kind == "op" and self.peek().text == ")"):
-                    arglist.append(self.parse_term())
-                    while self.peek().kind == "op" and self.peek().text == ",":
-                        self.next()
-                        arglist.append(self.parse_term())
-                self.expect("op", ")")
-                args = tuple(arglist)
+            arglist = self.parse_args()
+            has_parens = arglist is not None
+            args = arglist or ()
             if name in BACKGROUND_ARITY or self.sig.is_input(name) or self.sig.is_dynamic(name):
                 return Apply(name, args, span)
             if has_parens or not (name[0].islower() or name[0] == "_"):
                 return Apply(name, args, span)  # unknown symbol; validate reports it
             return Variable(name, span)
         self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+
+    def parse_args(self) -> tuple[Term, ...] | None:
+        """A parenthesized, comma-separated list of terms, or None when no
+        '(' comes next."""
+        if not (self.peek().kind == "op" and self.peek().text == "("):
+            return None
+        self.next()
+        args = []
+        if not (self.peek().kind == "op" and self.peek().text == ")"):
+            args.append(self.parse_term())
+            while self.peek().kind == "op" and self.peek().text == ",":
+                self.next()
+                args.append(self.parse_term())
+        self.expect("op", ")")
+        return tuple(args)
 
     def parse_braces(self) -> Term:
         opener = self.expect("op", "{")
@@ -571,17 +576,7 @@ class _Parser:
         # assignment
         self.next()
         span = (t.line, t.col)
-        args: tuple[Term, ...] = ()
-        if self.peek().kind == "op" and self.peek().text == "(":
-            self.next()
-            arglist = []
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
-                arglist.append(self.parse_term())
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.next()
-                    arglist.append(self.parse_term())
-            self.expect("op", ")")
-            args = tuple(arglist)
+        args = self.parse_args() or ()
         self.expect("assign")
         value = self.parse_term()
         return Assign(t.text, args, value, span)
@@ -659,11 +654,7 @@ def _parse_header(header: list[tuple[int, str]]):
             raise ProgramError("Halt must be declared as Halt/0 relational")
         if name == "Output" and arity != 0:
             raise ProgramError("Output must be nullary")
-    try:
-        sig = make_signature(inputs, dynamics)
-    except ProgramError:
-        raise
-    return sig, space
+    return make_signature(inputs, dynamics), space
 
 
 # -- validation ---------------------------------------------------------------------

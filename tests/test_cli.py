@@ -386,6 +386,29 @@ class TestPebble:
         assert code == 11
         assert "unrecognized" in err
 
+    @pytest.mark.parametrize("text,reason", [
+        ("fragment n=2 k=1 r=1\nconstant empty 7\n", "points at no object"),
+        ("fragment n=2 k=1 r=1\nedge 1\n", "malformed"),
+        ("fragment n=2 k=1 r=1\nobject 0 {a9}\n", "no atom a9"),
+        ("fragment n=2 k=1 r=1\nobject 0 {a0\n", "unterminated"),
+        ("fragment n=-1 k=1 r=1\n", "non-negative"),
+    ], ids=["constant-index", "edge-fields", "atom-index", "unterminated", "negative-n"])
+    def test_malformed_fragment_lines_exit_eleven(self, capsys, monkeypatch, tmp_path,
+                                                  text, reason):
+        # each subcommand that loads a board reports one error line naming
+        # the fault, instead of raising
+        bad = tmp_path / "bad.frag"
+        bad.write_text(text, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        for sub in ("verify", "solve", "play"):
+            extra = ("--depth", 1) if sub != "play" else ()
+            code, out, err = cli(capsys, "pebble", sub, "--fragA", bad, "--fragB", bad,
+                                 "--m", 1, *extra)
+            assert code == 11
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert reason in err and "Traceback" not in err
+
     def play(self, capsys, monkeypatch, frag_files, script):
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
         return cli(capsys, "pebble", "play",

@@ -13,7 +13,6 @@ from cpspace.pebble import (
     GameStructure,
     NoExtension,
     PebbleError,
-    Position,
     _Board,
     duplicator_respond,
     partial_iso,
@@ -58,23 +57,6 @@ class TestGameStructure:
             GameStructure(u, (u.empty, u.one) + tuple(u.atoms()), 0)
 
 
-class TestPosition:
-    def test_place_and_pairs(self):
-        pos = Position.empty(3)
-        assert pos.pairs() == ()
-        pos = pos.place(1, 7, 9)
-        assert pos.pairs() == ((7, 9),)
-        assert pos.a[1] == 7 and pos.b[1] == 9
-
-    def test_placed_indices_must_agree(self):
-        with pytest.raises(PebbleError, match="one side only"):
-            Position((None, 3), (None, None))
-
-    def test_pebble_bounds(self):
-        with pytest.raises(PebbleError):
-            Position.empty(2).place(2, 0, 0)
-
-
 class TestPartialIso:
     def test_empty_position(self):
         a = struct(3, 1, 1)
@@ -108,37 +90,6 @@ class TestPartialIso:
         u = a.universe
         pairs = pin_pairs(a, a) + ((u.empty, u.one),)
         assert partial_iso(a, a, pairs) is not None
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_new_pair_check_matches_the_full_check(self, n):
-        # grow random consistent lists, then put one more pair at every
-        # position: a random pair, a copy of a listed pair, or a listed
-        # A-side object with a random partner
-        rng = random.Random(n)
-        a, b = struct(2, 1, 1), struct(n, 1, 1)
-        pool_a, pool_b = a.objects, b.objects
-        checked = broken = 0
-        for _ in range(40):
-            ps = list(pin_pairs(a, b))
-            for _ in range(rng.randrange(1, 6)):
-                for _ in range(20):
-                    pair = (rng.choice(pool_a), rng.choice(pool_b))
-                    if partial_iso(a, b, ps + [pair]) is None:
-                        ps.append(pair)
-                        break
-            assert partial_iso(a, b, ps) is None
-            for t in range(len(ps) + 1):
-                for pair in (
-                    (rng.choice(pool_a), rng.choice(pool_b)),
-                    rng.choice(ps),
-                    (rng.choice(ps)[0], rng.choice(pool_b)),
-                ):
-                    trial = ps[:t] + [pair] + ps[t:]
-                    want = partial_iso(a, b, trial)
-                    assert partial_iso(a, b, trial, new=t) == want
-                    checked += 1
-                    broken += want is not None
-        assert broken > checked // 4 and broken < checked
 
 
 class TestDuplicatorRespond:
@@ -269,8 +220,9 @@ class TestVerifyDuplicator:
         assert "does not survive" in lines[0]
 
     def test_reports_equal_those_of_the_full_check(self, monkeypatch):
-        # the verifier checks only the combinations with the new pair;
-        # checking them all must give the same move counts and traces
+        # the verifier's compiled check tests only the combinations with
+        # the new pair; checking the whole position with the definition
+        # must give the same move counts and traces
         cases = [
             (struct(2, 1, 1), struct(3, 1, 1), 3, 3),
             (struct(3, 1, 1), struct(2, 1, 1), 3, 3),
@@ -278,10 +230,15 @@ class TestVerifyDuplicator:
             (struct(4, 2, 1), struct(5, 2, 1), 2, 2),
         ]
         fast = [verify_duplicator(*case) for case in cases]
-        full = partial_iso
-        monkeypatch.setattr(
-            pebble, "partial_iso", lambda a, b, pairs, new=None: full(a, b, pairs)
-        )
+
+        def full_check(a_, b_, side, pairs):
+            def holds(x0, y0):
+                pair = (x0, y0) if side == 0 else (y0, x0)
+                return partial_iso(a_, b_, pairs + (pair,)) is None
+
+            return holds
+
+        monkeypatch.setattr(pebble, "_compiled_check", full_check)
         assert [verify_duplicator(*case) for case in cases] == fast
         assert [report.survived for report in fast] == [False, False, True, False]
 
@@ -300,9 +257,9 @@ class TestVerifyDuplicator:
     def test_each_check_is_of_the_pair_just_placed(self, monkeypatch):
         # the verifier compiles one check per (position, side, pebble); at
         # every move its verdict must equal the definition's on the pins
-        # and all placed pairs, with the placed pairs read off the
-        # duplicator's state, not off the verifier's own list, and a
-        # rejected move must report the definition's text
+        # and all placed pairs, with the placed pairs rebuilt from the
+        # state's forms and molecules (and equal to the objects the state
+        # records), and a rejected move must report the definition's text
         def cut(spec, *literals):
             # a fragment board without the given objects, built unchecked
             frag = build_fragment(*spec)
@@ -360,6 +317,7 @@ class TestVerifyDuplicator:
                     )
                     for e in state.entries
                 ]
+                assert state.pairs() == tuple(p for p in placed if p is not None)
                 placed[i] = (x0, y0) if side == 0 else (y0, x0)
                 full = pin_pairs(a_, b_) + tuple(p for p in placed if p is not None)
                 want = partial_iso(a_, b_, full)
@@ -540,6 +498,24 @@ class TestGameSession:
         session.spoiler_move("A", 0, "a2")  # overwrite
         # a fresh molecule transports to the lex-smallest pattern match,
         # so even on identical boards the answer to a2 is a0
-        assert session.position.pairs() == (
+        assert session.state.pairs() == (
             (session.a.universe.atom(2), session.b.universe.atom(0)),
         )
+
+    def test_overwrite_from_side_b(self):
+        # a pebble placed on A and overwritten from B keeps its slot, and
+        # the board shows each pair in A, B order
+        session = GameSession(struct(4, 1, 1), struct(5, 1, 1), 2)
+        ua, ub = session.a.universe, session.b.universe
+        session.spoiler_move("A", 0, "{a1, a2, a3}")
+        session.spoiler_move("B", 0, "a4")
+        move = session.spoiler_move("B", 1, "{a4}")
+        assert move.note == ""
+        assert session.state.pairs() == (
+            (ua.atom(0), ub.atom(4)),
+            (ua.mk_set([ua.atom(0)]), ub.mk_set([ub.atom(4)])),
+        )
+        assert session.board_lines() == [
+            "pebble 0: A a0  |  B a4",
+            "pebble 1: A {a0}  |  B {a4}",
+        ]
