@@ -23,6 +23,11 @@ exception, a trailing elapsed-time line, is dropped by `--no-meta`.
 `--json-lines` swaps the human text for one JSON record per line.
 Object-count caps honor the CPS_BUDGET environment variable, but an
 explicit `--budget`/`--node-budget` flag wins.
+
+The argparse parser is the one declaration of every flag; subcommands
+that share flags share the helper that declares them.  After parsing,
+`_check` range-checks the namespace and each `cmd_*` function reads it
+directly.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .machine import (
     MachineError,
@@ -80,60 +84,29 @@ class CliFail(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a subcommand needs, checked for mutual consistency."""
+# flag, least legal value, message; checked in this order after parsing
+_RANGES = (
+    ("naked_set", 0, "--naked-set needs a non-negative atom count"),
+    ("max_steps", 1, "--max-steps must be at least 1"),
+    ("max_stages", 1, "--max-stages must be at least 1"),
+    ("budget", 1, "--budget must be at least 1"),
+    ("node_budget", 1, "--node-budget must be at least 1"),
+    ("n", 0, "--n must be non-negative"),
+    ("k", 0, "--k must be non-negative"),
+    ("r", 0, "--r must be non-negative"),
+    ("m", 1, "--m needs at least one pebble"),
+    ("depth", 0, "--depth must be non-negative"),
+)
 
-    machine: str | None = None
-    input: str | None = None
-    naked_set: int | None = None
-    trace: str = "summary"
-    max_steps: int | None = None
-    max_stages: int = 10_000
-    name: str | None = None
-    n: int | None = None
-    k: int | None = None
-    r: int | None = None
-    n1: int | None = None
-    n2: int | None = None
-    m: int | None = None
-    depth: int | None = None
-    budget: int | None = None
-    node_budget: int | None = None
-    out: str | None = None
-    frag_a: str | None = None
-    frag_b: str | None = None
-    json_lines: bool = False
-    no_meta: bool = False
 
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "ExperimentConfig":
-        fields = {
-            f: getattr(ns, f) for f in cls.__dataclass_fields__ if hasattr(ns, f)
-        }
-        cfg = cls(**fields)
-        cfg.check()
-        return cfg
-
-    def check(self) -> None:
-        if self.naked_set is not None and self.naked_set < 0:
-            raise UsageError("--naked-set needs a non-negative atom count")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise UsageError("--max-steps must be at least 1")
-        if self.max_stages < 1:
-            raise UsageError("--max-stages must be at least 1")
-        for flag, value in (("--budget", self.budget), ("--node-budget", self.node_budget)):
-            if value is not None and value < 1:
-                raise UsageError(f"{flag} must be at least 1")
-        for flag, value in (("--n", self.n), ("--k", self.k), ("--r", self.r)):
-            if value is not None and value < 0:
-                raise UsageError(f"{flag} must be non-negative")
-        if self.m is not None and self.m < 1:
-            raise UsageError("--m needs at least one pebble")
-        if self.depth is not None and self.depth < 0:
-            raise UsageError("--depth must be non-negative")
-        if self.n1 is not None and self.n2 is not None and not self.n1 < self.n2:
-            raise UsageError("--n1 must be smaller than --n2")
+def _check(ns: argparse.Namespace) -> None:
+    """Range checks on parsed flags; a flag the subcommand lacks is absent."""
+    for name, least, message in _RANGES:
+        value = getattr(ns, name, None)
+        if value is not None and value < least:
+            raise UsageError(message)
+    if hasattr(ns, "n1") and not ns.n1 < ns.n2:
+        raise UsageError("--n1 must be smaller than --n2")
 
 
 class Emitter:
@@ -165,20 +138,18 @@ def _load_machine(path: str) -> PSpaceMachine:
     text = _read_text(path)
     try:
         return machine_from_text(text)
-    except ProgramError:
-        raise  # carries line/col; mapped to exit 11
     except MachineError as err:
         raise CliFail(11, f"{path}: {err}") from err
 
 
-def _load_input(cfg: ExperimentConfig, machine: PSpaceMachine):
-    if cfg.naked_set is not None:
-        inp = make_input(cfg.naked_set)
-    elif cfg.input is not None:
+def _load_input(ns: argparse.Namespace, machine: PSpaceMachine):
+    if ns.naked_set is not None:
+        inp = make_input(ns.naked_set)
+    elif ns.input is not None:
         try:
-            inp = parse_input(_read_text(cfg.input))
+            inp = parse_input(_read_text(ns.input))
         except MachineError as err:
-            raise CliFail(12, f"{cfg.input}: {err}") from err
+            raise CliFail(12, f"{ns.input}: {err}") from err
     else:
         raise UsageError("need an input: --input FILE or --naked-set N")
     try:
@@ -209,10 +180,10 @@ def _table_rows(state: State, name: str):
 # -- run ----------------------------------------------------------------------
 
 
-def cmd_run(cfg: ExperimentConfig, em: Emitter) -> int:
-    machine = _load_machine(cfg.machine)
-    inp = _load_input(cfg, machine)
-    trace = run(machine, inp, cfg.max_steps)
+def cmd_run(ns: argparse.Namespace, em: Emitter) -> int:
+    machine = _load_machine(ns.machine)
+    inp = _load_input(ns, machine)
+    trace = run(machine, inp, ns.max_steps)
     em.emit(
         f"outcome {trace.outcome.value} steps={trace.steps} "
         f"bound={trace.bound} peak={trace.peak_active}",
@@ -222,10 +193,10 @@ def cmd_run(cfg: ExperimentConfig, em: Emitter) -> int:
         bound=trace.bound,
         peak=trace.peak_active,
     )
-    if cfg.trace != "none":
+    if ns.trace != "none":
         for i, size in enumerate(trace.active_sizes):
             em.emit(f"step {i} active={size}", record="step", index=i, active=size)
-            if cfg.trace == "states":
+            if ns.trace == "states":
                 state = trace.states[i]
                 u = state.universe
                 for name in state.sig.dynamic_names():
@@ -246,11 +217,11 @@ def cmd_run(cfg: ExperimentConfig, em: Emitter) -> int:
 # -- pfp ----------------------------------------------------------------------
 
 
-def cmd_pfp_extract(cfg: ExperimentConfig, em: Emitter) -> int:
-    machine = _load_machine(cfg.machine)
+def cmd_pfp_extract(ns: argparse.Namespace, em: Emitter) -> int:
+    machine = _load_machine(ns.machine)
     program = machine.program
     sig = program.signature
-    names = (cfg.name,) if cfg.name else sig.dynamic_names()
+    names = (ns.name,) if ns.name else sig.dynamic_names()
     for fname in names:
         if sig.dynamic_info(fname) is None:
             raise UsageError(f"{fname!r} is not a dynamic name of this machine")
@@ -269,10 +240,10 @@ def cmd_pfp_extract(cfg: ExperimentConfig, em: Emitter) -> int:
     return 0
 
 
-def cmd_pfp_eval(cfg: ExperimentConfig, em: Emitter) -> int:
-    machine = _load_machine(cfg.machine)
-    inp = _load_input(cfg, machine)
-    verdict, result, trace = decide(machine, inp, cfg.max_stages)
+def cmd_pfp_eval(ns: argparse.Namespace, em: Emitter) -> int:
+    machine = _load_machine(ns.machine)
+    inp = _load_input(ns, machine)
+    verdict, result, trace = decide(machine, inp, ns.max_stages)
     em.emit(
         f"verdict {verdict} status={result.status} stages={len(result.stages)} "
         f"run={trace.outcome.value}",
@@ -285,10 +256,10 @@ def cmd_pfp_eval(cfg: ExperimentConfig, em: Emitter) -> int:
     return {"accept": 0, "reject": 1}.get(verdict, 3)
 
 
-def cmd_pfp_lockstep(cfg: ExperimentConfig, em: Emitter) -> int:
-    machine = _load_machine(cfg.machine)
-    inp = _load_input(cfg, machine)
-    verdict, result, trace = decide(machine, inp, cfg.max_stages)
+def cmd_pfp_lockstep(ns: argparse.Namespace, em: Emitter) -> int:
+    machine = _load_machine(ns.machine)
+    inp = _load_input(ns, machine)
+    verdict, result, trace = decide(machine, inp, ns.max_stages)
     u = trace.final_state.universe
     common = min(len(result.stages), len(trace.states))
     for i in range(common):
@@ -343,11 +314,11 @@ def cmd_pfp_lockstep(cfg: ExperimentConfig, em: Emitter) -> int:
 # -- symmetry -------------------------------------------------------------------
 
 
-def cmd_symmetry_support(cfg: ExperimentConfig, em: Emitter) -> int:
-    machine = _load_machine(cfg.machine)
-    inp = _load_input(cfg, machine)
-    trace = run(machine, inp, cfg.max_steps)
-    report = check_support_theorem(trace, cfg.k)
+def cmd_symmetry_support(ns: argparse.Namespace, em: Emitter) -> int:
+    machine = _load_machine(ns.machine)
+    inp = _load_input(ns, machine)
+    trace = run(machine, inp, ns.max_steps)
+    report = check_support_theorem(trace, ns.k)
     for line in report.lines():
         em.emit(line)
     if em.json_lines:
@@ -378,24 +349,24 @@ def cmd_symmetry_support(cfg: ExperimentConfig, em: Emitter) -> int:
     return 0
 
 
-def cmd_symmetry_fragment(cfg: ExperimentConfig, em: Emitter) -> int:
-    frag = build_fragment(cfg.n, cfg.k, cfg.r, cfg.budget)
+def cmd_symmetry_fragment(ns: argparse.Namespace, em: Emitter) -> int:
+    frag = build_fragment(ns.n, ns.k, ns.r, ns.budget)
     text = frag.export_text()
-    if cfg.out:
+    if ns.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as err:
-            raise UsageError(f"cannot write {cfg.out}: {err.strerror or err}") from err
+            raise UsageError(f"cannot write {ns.out}: {err.strerror or err}") from err
         em.emit(
             f"fragment n={frag.n} k={frag.k} r={frag.r} objects={len(frag)} "
-            f"-> {cfg.out}",
+            f"-> {ns.out}",
             record="fragment-file",
             n=frag.n,
             k=frag.k,
             r=frag.r,
             objects=len(frag),
-            path=cfg.out,
+            path=ns.out,
         )
         return 0
     if em.json_lines:
@@ -410,8 +381,8 @@ def cmd_symmetry_fragment(cfg: ExperimentConfig, em: Emitter) -> int:
     return 0
 
 
-def cmd_symmetry_forms(cfg: ExperimentConfig, em: Emitter) -> int:
-    frag = build_fragment(cfg.n, cfg.k, cfg.r, cfg.budget)
+def cmd_symmetry_forms(ns: argparse.Namespace, em: Emitter) -> int:
+    frag = build_fragment(ns.n, ns.k, ns.r, ns.budget)
     u = frag.universe
     em.emit(
         f"forms n={frag.n} k={frag.k} r={frag.r} objects={len(frag)}",
@@ -423,7 +394,7 @@ def cmd_symmetry_forms(cfg: ExperimentConfig, em: Emitter) -> int:
     )
     distinct = set()
     for x in frag.objects:
-        phi, sigma = form_of(u, x, cfg.k)
+        phi, sigma = form_of(u, x, ns.k)
         distinct.add(phi)
         back = form_apply(u, phi, sigma)
         if back != x:
@@ -445,15 +416,15 @@ def cmd_symmetry_forms(cfg: ExperimentConfig, em: Emitter) -> int:
     return 0
 
 
-def cmd_symmetry_ineq(cfg: ExperimentConfig, em: Emitter) -> int:
+def cmd_symmetry_ineq(ns: argparse.Namespace, em: Emitter) -> int:
     try:
-        tables = in_eq_relations(cfg.k, cfg.n1, cfg.n2, cfg.r, budget=cfg.budget)
+        tables = in_eq_relations(ns.k, ns.n1, ns.n2, ns.r, budget=ns.budget)
     except InputDependence as err:
         psi, phi, config, small, large = err.witness
         em.emit(
             f"input dependence: psi={format_form(psi)} phi={format_form(phi)} "
             f"config={format_config(config)} "
-            f"n={cfg.n1} gives (in,eq)={small} but n={cfg.n2} gives {large}",
+            f"n={ns.n1} gives (in,eq)={small} but n={ns.n2} gives {large}",
             record="input-dependence",
             psi=format_form(psi),
             phi=format_form(phi),
@@ -464,11 +435,11 @@ def cmd_symmetry_ineq(cfg: ExperimentConfig, em: Emitter) -> int:
         return 13
     cells = len(tables.in_rel)
     em.emit(
-        f"ineq k={tables.k} r={cfg.r} n1={tables.n1} n2={tables.n2} "
+        f"ineq k={tables.k} r={ns.r} n1={tables.n1} n2={tables.n2} "
         f"forms={len(tables.forms)} configs={len(tables.configs)} cells={cells}",
         record="ineq",
         k=tables.k,
-        r=cfg.r,
+        r=ns.r,
         n1=tables.n1,
         n2=tables.n2,
         forms=len(tables.forms),
@@ -486,10 +457,10 @@ def cmd_symmetry_ineq(cfg: ExperimentConfig, em: Emitter) -> int:
 # -- pebble ---------------------------------------------------------------------
 
 
-def cmd_pebble_verify(cfg: ExperimentConfig, em: Emitter) -> int:
-    a = _load_board(cfg.frag_a)
-    b = _load_board(cfg.frag_b)
-    report = verify_duplicator(a, b, cfg.m, cfg.depth, cfg.node_budget)
+def cmd_pebble_verify(ns: argparse.Namespace, em: Emitter) -> int:
+    a = _load_board(ns.frag_a)
+    b = _load_board(ns.frag_b)
+    report = verify_duplicator(a, b, ns.m, ns.depth, ns.node_budget)
     for line in report.describe(a, b):
         em.emit(line)
     if em.json_lines:
@@ -515,10 +486,10 @@ def cmd_pebble_verify(cfg: ExperimentConfig, em: Emitter) -> int:
     return 0 if report.survived else 1
 
 
-def cmd_pebble_solve(cfg: ExperimentConfig, em: Emitter) -> int:
-    a = _load_board(cfg.frag_a)
-    b = _load_board(cfg.frag_b)
-    result = solve_game(a, b, cfg.m, cfg.depth, cfg.node_budget)
+def cmd_pebble_solve(ns: argparse.Namespace, em: Emitter) -> int:
+    a = _load_board(ns.frag_a)
+    b = _load_board(ns.frag_b)
+    result = solve_game(a, b, ns.m, ns.depth, ns.node_budget)
     word = "spoiler wins" if result.spoiler_wins else "no spoiler win"
     em.emit(
         f"{word} within depth {result.depth} with {result.m} pebbles "
@@ -535,10 +506,10 @@ def cmd_pebble_solve(cfg: ExperimentConfig, em: Emitter) -> int:
 PLAY_HELP = "moves: A|B PEBBLE LITERAL   board   help   quit"
 
 
-def cmd_pebble_play(cfg: ExperimentConfig, em: Emitter) -> int:
-    a = _load_board(cfg.frag_a)
-    b = _load_board(cfg.frag_b)
-    session = GameSession(a, b, cfg.m)
+def cmd_pebble_play(ns: argparse.Namespace, em: Emitter) -> int:
+    a = _load_board(ns.frag_a)
+    b = _load_board(ns.frag_b)
+    session = GameSession(a, b, ns.m)
     print(
         f"pebble game: {session.m} pebbles, "
         f"A has {len(a.objects)} objects, B has {len(b.objects)}"
@@ -602,26 +573,43 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--json-lines", action="store_true", dest="json_lines",
+    common.add_argument("--json-lines", action="store_true",
                         help="one JSON record per line instead of text")
-    common.add_argument("--no-meta", action="store_true", dest="no_meta",
+    common.add_argument("--no-meta", action="store_true",
                         help="drop the trailing elapsed-time line")
 
     parser = _Parser(prog="cpspace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_input(p):
+        p.add_argument("machine", help="machine file")
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--input", help="input structure file")
-        grp.add_argument("--naked-set", type=int, dest="naked_set", metavar="N",
+        grp.add_argument("--naked-set", type=int, metavar="N",
                          help="input with N atoms and no relations")
+
+    def with_fragment(p):
+        p.add_argument("--n", type=int, required=True, help="atom count")
+        p.add_argument("--k", type=int, required=True, help="support bound")
+        p.add_argument("--r", type=int, required=True, help="rank cutoff")
+        p.add_argument("--budget", type=int, help="object-count cap")
+
+    def with_boards(p):
+        p.add_argument("--fragA", dest="frag_a", required=True,
+                       help="exported fragment for side A")
+        p.add_argument("--fragB", dest="frag_b", required=True,
+                       help="exported fragment for side B")
+
+    def with_game(p):
+        with_boards(p)
+        p.add_argument("--m", type=int, required=True, help="pebble count")
+        p.add_argument("--depth", type=int, required=True, help="move budget")
+        p.add_argument("--node-budget", type=int)
 
     p = sub.add_parser("run", parents=[common],
                        help="execute a machine under its space bound")
-    p.add_argument("machine", help="machine file")
     with_input(p)
-    p.add_argument("--max-steps", type=int, dest="max_steps",
-                   help="step budget before giving up")
+    p.add_argument("--max-steps", type=int, help="step budget before giving up")
     p.add_argument("--trace", choices=("none", "summary", "states"),
                    default="summary", help="how much of the run to print")
     p.set_defaults(func=cmd_run)
@@ -635,46 +623,34 @@ def _build_parser() -> _Parser:
     p.add_argument("--name", help="one dynamic name (default: all)")
     p.set_defaults(func=cmd_pfp_extract)
 
-    p = pfp_sub.add_parser("eval", parents=[common],
-                           help="decide acceptance by the stage induction")
-    p.add_argument("machine", help="machine file")
-    with_input(p)
-    p.add_argument("--max-stages", type=int, dest="max_stages", default=10_000)
-    p.set_defaults(func=cmd_pfp_eval)
-
-    p = pfp_sub.add_parser("lockstep", parents=[common],
-                           help="diff interpreter steps against induction stages")
-    p.add_argument("machine", help="machine file")
-    with_input(p)
-    p.add_argument("--max-stages", type=int, dest="max_stages", default=10_000)
-    p.set_defaults(func=cmd_pfp_lockstep)
+    for name, func, text in (
+        ("eval", cmd_pfp_eval, "decide acceptance by the stage induction"),
+        ("lockstep", cmd_pfp_lockstep, "diff interpreter steps against induction stages"),
+    ):
+        p = pfp_sub.add_parser(name, parents=[common], help=text)
+        with_input(p)
+        p.add_argument("--max-stages", type=int, default=10_000)
+        p.set_defaults(func=func)
 
     sym = sub.add_parser("symmetry", help="supports, fragments, forms, In/Eq tables")
     sym_sub = sym.add_subparsers(dest="subcommand", required=True)
 
     p = sym_sub.add_parser("support", parents=[common],
                            help="minimal supports of a run's active objects")
-    p.add_argument("machine", help="machine file")
     with_input(p)
     p.add_argument("--k", type=int, required=True, help="claimed support bound")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
+    p.add_argument("--max-steps", type=int)
     p.set_defaults(func=cmd_symmetry_support)
 
     p = sym_sub.add_parser("fragment", parents=[common],
                            help="build and export a symmetric fragment")
-    p.add_argument("--n", type=int, required=True, help="atom count")
-    p.add_argument("--k", type=int, required=True, help="support bound")
-    p.add_argument("--r", type=int, required=True, help="rank cutoff")
-    p.add_argument("--budget", type=int, help="object-count cap")
+    with_fragment(p)
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=cmd_symmetry_fragment)
 
     p = sym_sub.add_parser("forms", parents=[common],
                            help="audit the form round trip over a fragment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    with_fragment(p)
     p.set_defaults(func=cmd_symmetry_forms)
 
     p = sym_sub.add_parser("ineq", parents=[common],
@@ -689,26 +665,14 @@ def _build_parser() -> _Parser:
     peb = sub.add_parser("pebble", help="games between two exported fragments")
     peb_sub = peb.add_subparsers(dest="subcommand", required=True)
 
-    def with_boards(p):
-        p.add_argument("--fragA", dest="frag_a", required=True,
-                       help="exported fragment for side A")
-        p.add_argument("--fragB", dest="frag_b", required=True,
-                       help="exported fragment for side B")
-
     p = peb_sub.add_parser("verify", parents=[common],
                            help="drive the form strategy through every spoiler line")
-    with_boards(p)
-    p.add_argument("--m", type=int, required=True, help="pebble count")
-    p.add_argument("--depth", type=int, required=True, help="move budget")
-    p.add_argument("--node-budget", type=int, dest="node_budget")
+    with_game(p)
     p.set_defaults(func=cmd_pebble_verify)
 
     p = peb_sub.add_parser("solve", parents=[common],
                            help="backward induction over positions")
-    with_boards(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--node-budget", type=int, dest="node_budget")
+    with_game(p)
     p.set_defaults(func=cmd_pebble_solve)
 
     p = peb_sub.add_parser("play", help="line-oriented interactive game")
@@ -722,15 +686,15 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = ExperimentConfig.from_args(args)
+        ns = parser.parse_args(argv)
+        _check(ns)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 10
-    em = Emitter(cfg.json_lines)
+    em = Emitter(ns.json_lines)
     started = time.monotonic()
     try:
-        code = args.func(cfg, em)
+        code = ns.func(ns, em)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 10
@@ -752,7 +716,7 @@ def main(argv=None) -> int:
     except (MachineError, SymmetryError, PebbleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 10
-    if not cfg.no_meta:
+    if not ns.no_meta:
         em.emit(
             f"# elapsed {time.monotonic() - started:.3f}s",
             record="meta",

@@ -162,9 +162,6 @@ class Universe:
     def is_atom(self, x: ObjId) -> bool:
         return x < self.n_atoms
 
-    def is_set(self, x: ObjId) -> bool:
-        return x >= self.n_atoms
-
     def atom(self, i: AtomId) -> ObjId:
         if not 0 <= i < self.n_atoms:
             raise HFError(f"no atom a{i} in a universe of {self.n_atoms} atoms")
@@ -368,9 +365,6 @@ def _skip_ws(s: str, pos: int) -> int:
 
 
 # -- permutations as image tuples -----------------------------------------
-
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
 
 def transposition(n: int, i: int, j: int) -> Perm:
     p = list(range(n))

@@ -153,13 +153,6 @@ class State:
             raise MachineError(f"unknown dynamic name {name!r}")
         return tbl.get(args, self.universe.empty)
 
-    def canonical_key(self):
-        """Hashable exact fingerprint of the dynamic part of the state."""
-        return tables_key(self.tables)
-
-    def table_size(self) -> int:
-        return sum(len(tbl) for tbl in self.tables.values())
-
     def halted(self) -> bool:
         return self.lookup("Halt") == self.universe.one
 

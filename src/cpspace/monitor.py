@@ -30,6 +30,7 @@ from cpspace.machine import (
     State,
     initial_state,
     step,
+    tables_key,
 )
 from cpspace.syntax import Program, parse_program
 
@@ -182,7 +183,7 @@ def run(
             trace.outcome = RunOutcome.ACCEPT if accepted else RunOutcome.REJECT
             trace.final_state = state
             return trace
-        key = state.canonical_key()
+        key = tables_key(state.tables)
         if key in seen:
             trace.outcome = RunOutcome.DIVERGED
             trace.final_state = state

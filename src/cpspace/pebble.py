@@ -403,11 +403,21 @@ class GameReport:
         return out
 
 
-def _compatible(a: GameStructure, b: GameStructure):
+def _same_shape(a: GameStructure, b: GameStructure):
     if a.k != b.k:
         raise PebbleError(f"molecule widths differ: {a.k} vs {b.k}")
     if a.r is not None and b.r is not None and a.r != b.r:
         raise PebbleError(f"rank cutoffs differ: {a.r} vs {b.r}")
+
+
+def _compatible(
+    a: GameStructure, b: GameStructure, m: int, depth: int, node_budget: int | None
+) -> int:
+    """Check a game's boards and parameters; return its node cap."""
+    _same_shape(a, b)
+    if m < 1 or depth < 0:
+        raise PebbleError("need at least one pebble and a non-negative depth")
+    return resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
 
 
 def verify_duplicator(
@@ -429,10 +439,7 @@ def verify_duplicator(
     through the responder and runs the compiled check; `partial_iso`
     writes the text of a rejected move, and the state after a move is
     built only when the walk goes deeper."""
-    _compatible(a, b)
-    if m < 1 or depth < 0:
-        raise PebbleError("need at least one pebble and a non-negative depth")
-    cap = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
+    cap = _compatible(a, b, m, depth, node_budget)
     pins = pin_pairs(a, b)
     nodes = 0
     seen: set = set()
@@ -575,10 +582,7 @@ def solve_game(
     Dropping a placed pair only widens the duplicator's options, so the
     spoiler overwrites a pebble only when all m are placed.
     """
-    _compatible(a, b)
-    if m < 1 or depth < 0:
-        raise PebbleError("need at least one pebble and a non-negative depth")
-    cap = resolve_budget(node_budget, DEFAULT_NODE_BUDGET)
+    cap = _compatible(a, b, m, depth, node_budget)
     board_a, board_b = _Board(a), _Board(b)
     if board_a.one is None or board_b.one is None:
         raise PebbleError("game structures must contain 0 and 1")
@@ -654,7 +658,7 @@ class GameSession:
     """Holds one game in progress for the line-oriented player."""
 
     def __init__(self, a: GameStructure, b: GameStructure, m: int):
-        _compatible(a, b)
+        _same_shape(a, b)
         if m < 1:
             raise PebbleError("need at least one pebble")
         self.a = a

@@ -23,12 +23,12 @@ forms are the same object and compare and hash by identity.  The
 intern table holds its nodes weakly: a form lives as long as something
 uses it (a memo of a universe, a caller) and no longer.
 
-A fragment build records the first support of every set it generates,
-so `support_within` scans only objects from elsewhere.  The build tries
-candidate fixed sets in the scan's own order, by size and then
-lexicographically, and a union of stabilizer orbits comes up exactly at
-the fixed sets that support it: the first one it comes up at is the one
-the scan would return.
+A fragment build records the first support of every set it generates
+in the one record `support_within` keeps, so only objects from
+elsewhere are scanned.  The build tries candidate fixed sets in the
+scan's own order, by size and then lexicographically, and a union of
+stabilizer orbits comes up exactly at the fixed sets that support it:
+the first one it comes up at is the one the scan would return.
 """
 
 from __future__ import annotations
@@ -121,10 +121,7 @@ def min_support(u: Universe, obj: ObjId) -> frozenset[AtomId]:
     union, so their intersection is again a support, which forces every
     small support to contain the smallest one.
     """
-    memo = u.caches.setdefault("min_support", {})
-    if obj not in memo:
-        memo[obj] = _first_support(u, obj, (u.n_atoms - 1) // 2)  # sizes < n/2
-    found = memo[obj]
+    found = support_within(u, obj, (u.n_atoms - 1) // 2)  # sizes < n/2
     if found is None:
         raise NoSmallSupport(obj, u.n_atoms)
     return found
@@ -135,13 +132,19 @@ def support_within(u: Universe, obj: ObjId, k: int) -> frozenset[AtomId] | None:
 
     Unlike min_support this stays defined when k >= n/2; the result is
     then a deterministic choice among possibly incomparable supports.
-    `build_fragment` fills this memo for the sets it generates, in the
-    same candidate order, so objects of a built fragment skip the scan.
+    The scan order does not depend on k, so a scan capped at k returns
+    the first support overall when it has at most k atoms.  u keeps one
+    record of the first supports found, which `build_fragment` also
+    fills, so objects of a built fragment skip the scan at every k.
     """
-    memo = u.caches.setdefault(("support_within", k), {})
-    if obj not in memo:
-        memo[obj] = _first_support(u, obj, min(k, u.n_atoms))
-    return memo[obj]
+    memo = u.caches.setdefault("first_support", {})
+    found = memo.get(obj)
+    if found is not None:
+        return found if len(found) <= k else None
+    found = _first_support(u, obj, min(k, u.n_atoms))
+    if found is not None:
+        memo[obj] = found
+    return found
 
 
 @dataclass
@@ -968,9 +971,10 @@ def build_fragment(
 
     Candidates X come by size, then lexicographically, as in the
     support scan, and a union is generated at exactly the X that support
-    it; so the X a set is first generated at is its `support_within`.
-    The build records it there at the end of each level, and frozenset()
-    for the empty set.  A given universe must have exactly n atoms.
+    it; so the X a set is first generated at is its first support.  The
+    build records it in `support_within`'s record at the end of each
+    level, and frozenset() for the empty set.  A given universe must
+    have exactly n atoms.
     """
     if n < 0 or k < 0 or r < 0:
         raise SymmetryError("fragment parameters must be non-negative")
@@ -983,7 +987,7 @@ def build_fragment(
     acc: set[ObjId] = set(u.atoms())
     acc.add(u.empty)
     ordered = sorted(acc, key=u.sort_key)
-    supports = u.caches.setdefault(("support_within", k), {})
+    supports = u.caches.setdefault("first_support", {})
     supports.setdefault(u.empty, frozenset())
     for _level in range(r):
         new: dict[ObjId, frozenset[AtomId]] = {}  # each set's first support

@@ -1,18 +1,22 @@
 """Command-line tests: exit codes, reports, determinism, the game REPL."""
 
+import argparse
 import io
+import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cpspace.cli import main
+from cpspace.cli import _build_parser, main
 from cpspace.symmetry import build_fragment, parse_fragment
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def cli(capsys, *argv):
@@ -455,17 +459,69 @@ class TestPlumbing:
         assert code == 10
         assert "required" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("run", "x.machine", "--naked-set", -1),
-        ("run", "x.machine", "--naked-set", 2, "--max-steps", 0),
-        ("pebble", "solve", "--fragA", "a", "--fragB", "b", "--m", 0, "--depth", 1),
-        ("pebble", "solve", "--fragA", "a", "--fragB", "b", "--m", 1, "--depth", -1),
-        ("symmetry", "fragment", "--n", -1, "--k", 1, "--r", 1),
-        ("symmetry", "fragment", "--n", 2, "--k", 1, "--r", 1, "--budget", 0),
-    ])
-    def test_inconsistent_flags_exit_ten(self, capsys, argv):
-        code, _, _ = cli(capsys, *argv)
+    FLAG_ERRORS = [
+        (("run", "x.machine", "--naked-set", -1),
+         "--naked-set needs a non-negative atom count"),
+        (("run", "x.machine", "--naked-set", 2, "--max-steps", 0),
+         "--max-steps must be at least 1"),
+        (("pebble", "solve", "--fragA", "a", "--fragB", "b", "--m", 0, "--depth", 1),
+         "--m needs at least one pebble"),
+        (("pebble", "solve", "--fragA", "a", "--fragB", "b", "--m", 1, "--depth", -1),
+         "--depth must be non-negative"),
+        (("symmetry", "fragment", "--n", -1, "--k", 1, "--r", 1),
+         "--n must be non-negative"),
+        (("symmetry", "fragment", "--n", 2, "--k", 1, "--r", 1, "--budget", 0),
+         "--budget must be at least 1"),
+        (("pfp", "eval", "x.machine", "--naked-set", 2, "--max-stages", 0),
+         "--max-stages must be at least 1"),
+        (("pebble", "verify", "--fragA", "a", "--fragB", "b", "--m", 1, "--depth", 1,
+          "--node-budget", 0),
+         "--node-budget must be at least 1"),
+        (("symmetry", "fragment", "--n", 2, "--k", -1, "--r", 1),
+         "--k must be non-negative"),
+        (("symmetry", "fragment", "--n", 2, "--k", 1, "--r", -1),
+         "--r must be non-negative"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", FLAG_ERRORS,
+                             ids=[f"argv{i}" for i in range(len(FLAG_ERRORS))])
+    def test_inconsistent_flags_exit_ten(self, capsys, argv, message):
+        # the checks run before any file is read, so the paths need not exist
+        code, out, err = cli(capsys, *argv)
         assert code == 10
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_readme_synopsis_matches_the_parser(self):
+        # each synopsis line lists exactly the options its subcommand takes,
+        # apart from --help and the two output flags every batch command takes
+        def leaves(parser, words=()):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield words, parser
+                return
+            for name, sub in subs[0].choices.items():
+                yield from leaves(sub, (*words, name))
+
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        synopsis = {}
+        for line in block.splitlines():
+            words = line.split()
+            assert words[0] == "cpspace"
+            command = tuple(itertools.takewhile(
+                lambda w: w.isalpha() and w.islower(), words[1:]))
+            synopsis[command] = set(re.findall(r"--[\w-]+", line))
+        parsers = dict(leaves(_build_parser()))
+        assert set(synopsis) == set(parsers)
+        output_flags = {"--json-lines", "--no-meta"}
+        for command, parser in parsers.items():
+            options = {s for a in parser._actions for s in a.option_strings
+                       if s.startswith("--")} - {"--help"}
+            assert synopsis[command] == options - output_flags, command
+            interactive = command == ("pebble", "play")
+            assert output_flags.isdisjoint(options) == interactive, command
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

@@ -555,7 +555,7 @@ class TestFormOf:
         with pytest.raises(NotKSymmetric) as info:
             form_of(u, all_pairs, 1)
         wit = info.value.witness
-        assert u.is_set(wit) and len(u.elements(wit)) == 2
+        assert not u.is_atom(wit) and len(u.elements(wit)) == 2
 
     def test_deep_chain_needs_no_recursion(self):
         u = Universe(3)
@@ -618,7 +618,7 @@ class TestFragments:
     def test_build_records_the_first_supports(self, n, k, r):
         frag = build_fragment(n, k, r)
         u = frag.universe
-        recorded = u.caches[("support_within", k)]
+        recorded = u.caches["first_support"]
         sets = [x for x in frag.objects if not u.is_atom(x)]
         assert set(recorded) == set(sets)
         for x in sets:
@@ -629,7 +629,7 @@ class TestFragments:
         u = Universe(3)
         with pytest.raises(BudgetExceeded):
             build_fragment(3, 1, 2, budget=20_000, universe=u)
-        recorded = u.caches[("support_within", 1)]
+        recorded = u.caches["first_support"]
         level1 = build_fragment(3, 1, 1)
         assert sorted(map(u.format_literal, recorded)) == sorted(
             level1.universe.format_literal(x) for x in level1.objects
@@ -637,6 +637,28 @@ class TestFragments:
         )
         for x, supp in recorded.items():
             assert supp == _first_support(u, x, 1), x
+
+    def test_one_support_record_serves_every_width(self):
+        # builds at two widths, forms and the support theorem share one
+        # record of first supports, each checked against the scan
+        u = Universe(4)
+        frag = build_fragment(4, 1, 1, universe=u)
+        build_fragment(4, 2, 1, universe=u)
+        for x in frag.objects:
+            form_of(u, x, 1)
+        trace = run(fixture_machine("pairs.machine"), make_input(4), universe=u)
+        report = check_support_theorem(trace, 1)
+        support_keys = [key for key in u.caches
+                        if "support" in (key if isinstance(key, str) else key[0])]
+        assert support_keys == ["first_support"]
+        recorded = u.caches["first_support"]
+        assert all(recorded[x] == supp for x, supp in report.supports.items() if supp)
+        for x, supp in recorded.items():
+            assert supp == _first_support(u, x, 4), x
+        pair = u.mk_set([u.atom(0), u.atom(1)])
+        assert recorded[pair] == {0, 1}
+        assert support_within(u, pair, 1) is None
+        assert support_within(u, pair, 2) == {0, 1}
 
     def test_universe_must_have_n_atoms(self):
         # both directions fail before any work, naming both atom counts
