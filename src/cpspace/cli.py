@@ -12,7 +12,8 @@ Exit codes.  `run` reports its outcome directly: 0 accept, 1 reject,
 0 accept, 1 reject, 3 unknown; `pebble verify`/`solve` use 0 when the
 duplicator survives and 1 when the spoiler wins.  Everything above 9 is
 an error: 10 usage or unreadable file, 11 program or fragment parse and
-validation failures (with line and column when known), 12 bad input
+validation failures (with line and column when known) and rules with no
+update formula for `pfp`, 12 bad input
 structures, 13 conformance alarms (a lockstep mismatch, an In/Eq table
 depending on the atom count, a relational register holding a set), 14
 budget exhaustion.
@@ -54,7 +55,7 @@ from .pebble import (
     solve_game,
     verify_duplicator,
 )
-from .pfp import decide, formula_sexpr, update_formula
+from .pfp import FormulaError, decide, formula_sexpr, update_formula
 from .symmetry import (
     BudgetExceeded,
     InputDependence,
@@ -145,13 +146,11 @@ def _load_machine(path: str) -> PSpaceMachine:
 def _load_input(ns: argparse.Namespace, machine: PSpaceMachine):
     if ns.naked_set is not None:
         inp = make_input(ns.naked_set)
-    elif ns.input is not None:
+    else:  # argparse requires one of the two
         try:
             inp = parse_input(_read_text(ns.input))
         except MachineError as err:
             raise CliFail(12, f"{ns.input}: {err}") from err
-    else:
-        raise UsageError("need an input: --input FILE or --naked-set N")
     try:
         check_input(machine.program.signature, inp)
     except MachineError as err:
@@ -225,7 +224,8 @@ def cmd_pfp_extract(ns: argparse.Namespace, em: Emitter) -> int:
     for fname in names:
         if sig.dynamic_info(fname) is None:
             raise UsageError(f"{fname!r} is not a dynamic name of this machine")
-        upd = update_formula(program, fname)
+    # every formula first, so a rule with none prints nothing but the error
+    for upd in [update_formula(program, fname) for fname in names]:
         sexpr = formula_sexpr(upd.formula)
         em.emit(f"; upd for {upd.name}({', '.join(upd.arg_vars)}) := {upd.val_var}")
         em.emit(sexpr)
@@ -710,7 +710,7 @@ def main(argv=None) -> int:
     except (InputDependence, NotKSymmetric) as err:
         print(f"error: {err}", file=sys.stderr)
         return 13
-    except ProgramError as err:
+    except (ProgramError, FormulaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 11
     except (MachineError, SymmetryError, PebbleError) as err:

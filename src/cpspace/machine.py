@@ -298,7 +298,9 @@ def apply_updates(state: State, updates: frozenset[Update]) -> State:
     if not is_consistent(updates):
         return state
     u = state.universe
-    for name, args, value in updates:
+    # in a fixed order (name, argument handles, value handle), so that the
+    # first bad write, which the error names, is the same in every process
+    for name, args, value in sorted(updates):
         info = state.sig.dynamic_info(name)
         if info is None:
             raise MachineError(f"update to unknown dynamic name {name!r}")

@@ -13,8 +13,8 @@ Forms are interned (see `symmetry`), so the work per move is a few
 dict probes: the spoiler object's (form, molecule) from the `form_of`
 memo, the answer molecule from a per-universe cache for the rows of the
 other placed molecules on both sides, keyed by the spoiler's molecule,
-and the answer object from the `form_apply` memo keyed by (form,
-molecule).
+and the answer object from the `form_apply` memo, keyed by molecule
+and then by form.
 
 `DuplicatorState` is the one record of a placement: per pebble, the
 form with the molecule and the object on each side.
@@ -282,7 +282,8 @@ def _responder(
                 f"no {home.k}-molecule over {ou.n_atoms} atoms matches "
                 f"the pattern of {home.literal(x0)}"
             )
-        y0 = applied.get((phi0, answer))
+        at = applied.get(answer)
+        y0 = None if at is None else at.get(phi0)
         if y0 is None:
             y0 = form_apply(ou, phi0, answer)
         if y0 not in on_other:

@@ -20,8 +20,21 @@ fragment sizes grow doubly exponentially in the rank cutoff.
 Forms are interned: `mk_node` keeps one live object per set of
 (child, configuration) pairs, and `Leaf(p)` one per position, so equal
 forms are the same object and compare and hash by identity.  The
-intern table holds its nodes weakly: a form lives as long as something
-uses it (a memo of a universe, a caller) and no longer.
+intern table holds its nodes weakly, keyed by each node's own canonical
+pair tuple: a form lives as long as something uses it (a memo of a
+universe, a caller) and no longer.  Configurations are interned too:
+`make_config` returns the one Config of each (ell, k, blocks), and
+`conf` goes through it, so a Config also compares by identity.
+
+Decomposing and applying forms reads per-molecule rows, kept in the
+universe's caches, instead of re-deriving per element what depends only
+on a child and a molecule.  Each first support has one padded molecule.
+`form_of` keeps, per molecule sigma, a row from child object to its
+pair (child form, configuration against sigma), so a set costs one
+probe per member; `form_apply` keeps, per molecule, a row from pair to
+the child's values at every molecule that induces the pair's
+configuration against it, so a node costs one probe per pair and one
+`mk_set`.  Neither fills the other's memo.
 
 A fragment build records the first support of every set it generates
 in the one record `support_within` keeps, so only objects from
@@ -264,7 +277,7 @@ def padded_molecule(u: Universe, support, k: int) -> Molecule:
     return tuple(supp + pad[:need])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Config:
     """Equality pattern of ell k-molecules: a partition of the ell x k grid.
 
@@ -274,21 +287,17 @@ class Config:
     of the same row.  Blocks are canonical: sorted internally and by
     their smallest cell.
 
-    `conf` interns configurations: every request for one equality
-    pattern gets the same object, which `make_config` builds and
-    validates once.  The hash is computed once, at construction, since
-    configurations sit in the keys of the form intern table and memos.
+    Interned: `make_config` returns the one Config for each (ell, k,
+    blocks), built and validated on the first request, and `conf` goes
+    through it.  So equal configurations are one object, and a Config,
+    like a form, compares and hashes by identity.
     """
 
     ell: int
     k: int
     blocks: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.ell, self.k, self.blocks)))
         grid = {(i, p) for i in range(self.ell) for p in range(self.k)}
         seen: set[tuple[int, int]] = set()
         for block in self.blocks:
@@ -312,16 +321,24 @@ class Config:
         return len(self.blocks)
 
 
+# The one Config of each (ell, k, canonical blocks).  Shared by the whole
+# process: an entry is immutable and depends on its key alone.
+_MADE: dict[tuple, Config] = {}
+
+
 def make_config(ell: int, k: int, blocks) -> Config:
-    canon = sorted((tuple(sorted(tuple(c) for c in b)) for b in blocks),
-                   key=lambda b: b[0])
-    return Config(ell, k, tuple(canon))
+    """The interned configuration with these blocks, in any order."""
+    canon = tuple(sorted((tuple(sorted(tuple(c) for c in b)) for b in blocks),
+                         key=lambda b: b[0]))
+    got = _MADE.get((ell, k, canon))
+    if got is None:
+        got = _MADE[ell, k, canon] = Config(ell, k, canon)
+    return got
 
 
-# Interned configurations, keyed by the molecules with their atoms
-# renamed by first occurrence.  Holds one entry per configuration of
-# ell k-molecules asked for so far, whatever the atom count.  Shared by
-# the whole process: an entry is immutable and depends on its key alone.
+# Configurations by pattern: the molecules with their atoms renamed by
+# first occurrence.  Holds one entry per configuration of ell k-molecules
+# asked for so far, whatever the atom count.
 _CONFIGS: dict[tuple[Molecule, ...], Config] = {}
 
 
@@ -329,7 +346,7 @@ def conf(molecules) -> Config:
     """The configuration induced by atom equality across the molecules.
 
     Interned: molecules with the same equality pattern get the same
-    Config object, built by `make_config` on the first request.
+    Config object, the one `make_config` returns for its blocks.
     """
     mols = [tuple(m) for m in molecules]
     if not mols:
@@ -425,14 +442,14 @@ class Node:
 
     Built only through `mk_node`, which interns nodes: equal nodes are
     one object, so a node compares and hashes by identity.  `_key`
-    serves only `form_key`'s canonical order.
+    serves only `form_key`'s canonical order and is built on first use.
     """
 
     __slots__ = ("pairs", "_key", "__weakref__")
 
-    def __init__(self, pairs: tuple[tuple["Form", Config], ...], key: tuple):
+    def __init__(self, pairs: tuple[tuple["Form", Config], ...]):
         self.pairs = pairs
-        self._key = key
+        self._key = None
 
     def __repr__(self) -> str:
         return f"Node(pairs={self.pairs!r})"
@@ -444,35 +461,70 @@ Form = Leaf | Node
 def form_key(phi: Form):
     """The structural key of a form, which orders forms canonically:
     (0, pos) for a leaf, and for a node 1 followed by the child key and
-    configuration blocks of each pair, in pair order."""
+    configuration blocks of each pair, in pair order.
+
+    Built on first use, children first, over an explicit stack so that
+    deep forms need no recursion; each node keeps its key."""
+    if phi._key is None:
+        stack = [phi]
+        while stack:
+            f = stack[-1]
+            todo = [c for c, _ in f.pairs if c._key is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if f._key is None:
+                f._key = (1, *itertools.chain.from_iterable(map(_pair_order, f.pairs)))
     return phi._key
 
 
 def _pair_order(pair: tuple[Form, Config]):
-    return (pair[0]._key, pair[1].blocks)
+    child = pair[0]
+    return (child._key or form_key(child), pair[1].blocks)
+
+
+class _NodeRef(weakref.ref):
+    """A weak reference to an interned node, which knows its table key."""
+
+    __slots__ = ("key",)
 
 
 # Interned nodes: the one live Node for each set of (child form,
-# configuration) pairs.  Children are interned first, so a key hashes by
-# child identity and the configuration's stored hash.  Values are weak
-# references: an entry goes when its node is no longer used.
-_NODES: "weakref.WeakValueDictionary[frozenset, Node]" = weakref.WeakValueDictionary()
+# configuration) pairs, keyed by the node's own canonical `pairs` tuple.
+# Children and configurations are interned first, so a key hashes and
+# compares by their identities.  Values are weak references: an entry
+# goes when its node is no longer used.
+_NODES: dict[tuple, _NodeRef] = {}
+
+
+def _forget(ref: _NodeRef, nodes=_NODES) -> None:
+    """Drop a dead node's entry, unless a new node took the key.  The
+    table is bound here, as module globals may be gone at exit."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 def mk_node(pairs) -> Node:
     """The one live node whose pairs are this set, made on first request.
 
-    A lookup in the intern table comes first; only a new form pays for
-    the canonical sort by (child key, configuration blocks).  The table
+    The pairs are put in canonical order, by (child key, configuration
+    blocks), and that tuple is looked up in the intern table.  The table
     holds nodes weakly, so a form lives exactly as long as something
     else (a universe's memo, a caller) holds it.
     """
-    key = frozenset(pairs)
-    node = _NODES.get(key)
+    return _intern(set(pairs), _pair_order)
+
+
+def _intern(pairs: set, order) -> Node:
+    """mk_node for a pair set whose pairs sort canonically by order(pair)."""
+    key = tuple(sorted(pairs, key=order)) if len(pairs) > 1 else tuple(pairs)
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
     if node is None:
-        ordered = tuple(sorted(key, key=_pair_order))
-        flat = itertools.chain.from_iterable(map(_pair_order, ordered))
-        node = _NODES[key] = Node(ordered, (1, *flat))
+        node = Node(key)
+        ref = _NODES[key] = _NodeRef(node, _forget)
+        ref.key = key
     return node
 
 
@@ -646,8 +698,8 @@ def _config_matches(tau, sigma, config: Config) -> bool:
     return True
 
 
-def form_apply_memo(u: Universe) -> dict[tuple[Form, Molecule], ObjId]:
-    """u's memo of `form_apply`: (form, checked molecule) -> object.
+def form_apply_memo(u: Universe) -> dict[Molecule, dict[Form, ObjId]]:
+    """u's memo of `form_apply`: checked molecule -> form -> object.
     Callers may read it; a miss goes through `form_apply`."""
     return u.caches.setdefault("form_apply", {})
 
@@ -655,65 +707,92 @@ def form_apply_memo(u: Universe) -> dict[tuple[Form, Molecule], ObjId]:
 def form_apply(u: Universe, phi: Form, sigma) -> ObjId:
     """Evaluate the form at a molecule: a leaf picks an atom of sigma, a
     node unions each child over every molecule inducing its configuration.
-    Memoised per universe by (form, molecule); forms are interned, so a
-    probe hashes the form by identity."""
+    Memoised per universe by molecule, then form; forms are interned, so
+    a probe hashes the form by identity."""
     memo = form_apply_memo(u)
-    # only checked molecules reach the memo, so a hit needs no check
-    got = memo.get((phi, sigma)) if isinstance(sigma, tuple) else None
-    if got is not None:
-        return got
-    return _apply(u, phi, check_molecule(u, sigma), memo)
-
-
-def _apply(u: Universe, phi: Form, sigma: Molecule, memo) -> ObjId:
-    """form_apply over an explicit stack of nodes, children first."""
-    got = memo.get((phi, sigma))
+    # only checked molecules reach the memo, so they need no check again
+    at = memo.get(sigma) if isinstance(sigma, tuple) else None
+    if at is None:
+        sigma = check_molecule(u, sigma)
+        at = memo[sigma] = {}
+    got = at.get(phi)
     if got is not None:
         return got
     if isinstance(phi, Leaf):
-        return _apply_leaf(u, phi, sigma, memo)
+        if not 0 <= phi.pos < len(sigma):
+            raise SymmetryError(f"leaf position {phi.pos} outside molecule {sigma}")
+        got = at[phi] = u.atom(sigma[phi.pos])
+        return got
+    # the common case, every pair's values known, needs no stack
+    rows = u.caches.setdefault("pair_values", {})
+    row = rows.get(sigma)
+    if row is not None:
+        parts = list(map(row.get, phi.pairs))
+        if None not in parts:
+            got = at[phi] = u.mk_set(itertools.chain.from_iterable(parts))
+            return got
+    return _apply(u, phi, sigma, memo, rows)
+
+
+def _apply(u: Universe, phi: Node, sigma: Molecule, memo, rows) -> ObjId:
+    """form_apply of a node over an explicit stack of (node, molecule),
+    children first.
+
+    A node's value at sig is the set of its pairs' values there.  The
+    values of a pair (child, config) at sig, the child's value at every
+    molecule that induces config against sig, are kept in the row
+    rows[sig] = u.caches["pair_values"][sig], so a node costs one probe
+    per pair.  A row entry is made once the child's values are all
+    known; children still missing go on the stack in pair order, then
+    molecule order.
+    """
     # (configuration, molecule) -> the molecules tau with conf((tau, sigma))
     # equal to it, in permutation order; one entry per pair of molecules
     matching = u.caches.setdefault("config_matches", {})
-
-    def members(node: Node, sig: Molecule):
-        k = len(sig)
-        for child, config in node.pairs:
-            if config.ell != 2 or config.k != k:
-                raise SymmetryError("node configuration is not over two k-molecules")
-            taus = matching.get((config, sig))
-            if taus is None:
-                taus = matching[config, sig] = tuple(
-                    tau for tau in itertools.permutations(range(u.n_atoms), k)
-                    if _config_matches(tau, sig, config)
-                )
-            for tau in taus:
-                yield child, tau
-
-    stack = [(phi, sigma, members(phi, sigma), [])]
-    while True:
-        node, sig, todo, elems = stack[-1]
-        for child, tau in todo:
-            got = memo.get((child, tau))
-            if got is None:
-                if not isinstance(child, Leaf):
-                    stack.append((child, tau, members(child, tau), []))
-                    break
-                got = _apply_leaf(u, child, tau, memo)
-            elems.append(got)
-        else:
-            val = memo[node, sig] = u.mk_set(elems)
+    k = len(sigma)
+    stack = [(phi, sigma)]
+    while stack:
+        node, sig = stack[-1]
+        at = memo.get(sig)
+        if at is None:
+            at = memo[sig] = {}
+        elif node in at:
             stack.pop()
-            if not stack:
-                return val
-            stack[-1][3].append(val)
-
-
-def _apply_leaf(u: Universe, leaf: Leaf, sigma: Molecule, memo) -> ObjId:
-    if not 0 <= leaf.pos < len(sigma):
-        raise SymmetryError(f"leaf position {leaf.pos} outside molecule {sigma}")
-    val = memo[leaf, sigma] = u.atom(sigma[leaf.pos])
-    return val
+            continue
+        row = rows.get(sig)
+        if row is None:
+            row = rows[sig] = {}
+        parts = list(map(row.get, node.pairs))
+        if None in parts:
+            missing: list = []
+            for i, pair in enumerate(node.pairs):
+                if parts[i] is not None:
+                    continue
+                child, config = pair
+                if config.ell != 2 or config.k != k:
+                    raise SymmetryError("node configuration is not over two k-molecules")
+                taus = matching.get((config, sig))
+                if taus is None:
+                    taus = matching[config, sig] = tuple(
+                        tau for tau in itertools.permutations(range(u.n_atoms), k)
+                        if _config_matches(tau, sig, config)
+                    )
+                if isinstance(child, Leaf):
+                    if not 0 <= child.pos < k:
+                        raise SymmetryError(f"leaf position {child.pos} outside molecule {sig}")
+                    values = tuple([tau[child.pos] for tau in taus])
+                else:
+                    values = tuple([memo.get(tau, {}).get(child) for tau in taus])
+                    if None in values:
+                        missing += [(child, tau) for tau, y in zip(taus, values) if y is None]
+                        continue
+                row[pair] = parts[i] = values
+            if missing:
+                stack += reversed(missing)
+                continue
+        at[node] = u.mk_set(itertools.chain.from_iterable(parts))
+        stack.pop()
+    return memo[sigma][phi]
 
 
 def form_of_memo(u: Universe, k: int) -> dict[ObjId, tuple[Form, Molecule]]:
@@ -729,18 +808,45 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
     length k with the smallest atoms outside it; children are decomposed
     the same way, first, and record their configuration against the
     parent.  Walks an explicit stack, so deep objects need no recursion.
+
+    Each first support has one molecule, and each molecule sigma one
+    row u.caches[("form_pairs", k)][sigma]: child object -> the pair
+    (child form, configuration against sigma), made once, with its sort
+    key.  A set whose members all have pairs in its row costs one probe
+    per member, and the nodes on one molecule share its pair tuples.
     """
     memo = form_of_memo(u, k)
     got = memo.get(x)
     if got is not None:
         return got
-    # (child molecule, molecule) -> conf of the two: one entry per pair
-    # of molecules, whatever the number of objects
-    configs = u.caches.setdefault("conf_pairs", {})
+    supports = u.caches.setdefault("first_support", {})
+    # first support -> (its molecule, the molecule's row)
+    sites = u.caches.setdefault(("form_sites", k), {})
+    rows = u.caches.setdefault(("form_pairs", k), {})
+    # pair of a row -> its sort key in a node: (child form key, blocks)
+    pair_keys = u.caches.setdefault(("form_pair_keys", k), {})
+    order = pair_keys.__getitem__
     stack: list = []
 
+    def site(supp):
+        got = sites.get(supp)
+        if got is None:
+            sigma = padded_molecule(u, supp, k)
+            row = rows.get(sigma)
+            if row is None:
+                row = rows[sigma] = {}
+            got = sites[supp] = (sigma, row)
+        return got
+
+    def add_pair(row, sigma, e: ObjId) -> tuple[Form, Config]:
+        phi, child_sigma = memo[e]
+        pair = row[e] = (phi, conf((child_sigma, sigma)))
+        pair_keys[pair] = (form_key(phi), pair[1].blocks)
+        return pair
+
     def enter(y: ObjId) -> bool:
-        """Decompose an atom at once; push a set's frame.  True if pushed."""
+        """Decompose y at once if it is an atom or all its members have
+        pairs in its row; else push its frame.  True if pushed."""
         if u.is_atom(y):
             # An atom anchors its own molecule; a vacuous support (every
             # transposition avoiding it is trivial at tiny n) would not
@@ -748,44 +854,42 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
             if k < 1:
                 raise NotKSymmetric(y, k)
             a = u.atom_index(y)
-            sigma = padded_molecule(u, (a,), k)
+            sigma = site(frozenset((a,)))[0]
             memo[y] = (Leaf(sigma.index(a)), sigma)
             return False
-        supp = support_within(u, y, k)
-        if supp is None:
-            raise NotKSymmetric(y, k)
-        stack.append((y, padded_molecule(u, supp, k), iter(u.elements(y)), []))
-        return True
-
-    def pair(child: tuple[Form, Molecule], sigma: Molecule) -> tuple[Form, Config]:
-        phi, child_sigma = child
-        config = configs.get((child_sigma, sigma))
-        if config is None:
-            config = configs[child_sigma, sigma] = conf((child_sigma, sigma))
-        return phi, config
+        supp = supports.get(y)
+        if supp is None or len(supp) > k:
+            supp = support_within(u, y, k)
+            if supp is None:
+                raise NotKSymmetric(y, k)
+        sigma, row = sites.get(supp) or site(supp)
+        elems = u.elements(y)
+        pairs = list(map(row.get, elems))
+        if None in pairs:
+            stack.append((y, sigma, row, iter(elems), []))
+            return True
+        memo[y] = (_intern(set(pairs), order), sigma)
+        return False
 
     if not enter(x):
         return memo[x]
     while True:
-        y, sigma, todo, pairs = stack[-1]
+        y, sigma, row, todo, pairs = stack[-1]
         for e in todo:
-            got = memo.get(e)
-            if got is None:
-                if enter(e):
+            pair = row.get(e)
+            if pair is None:
+                if e not in memo and enter(e):
                     break
-                got = memo[e]
-            phi, child_sigma = got  # pair(got, sigma), inlined on the hot path
-            config = configs.get((child_sigma, sigma))
-            if config is None:
-                config = configs[child_sigma, sigma] = conf((child_sigma, sigma))
-            pairs.append((phi, config))
+                pair = add_pair(row, sigma, e)
+            pairs.append(pair)
         else:
-            got = memo[y] = (mk_node(pairs), sigma)
+            got = memo[y] = (_intern(set(pairs), order), sigma)
             stack.pop()
             if not stack:
                 return got
-            _, parent_sigma, _, parent_pairs = stack[-1]
-            parent_pairs.append(pair(got, parent_sigma))
+            # y is the member its parent's loop stopped at
+            _, parent_sigma, parent_row, _, parent_pairs = stack[-1]
+            parent_pairs.append(add_pair(parent_row, parent_sigma, y))
 
 
 # -- fragments ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import io
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -161,6 +162,27 @@ class TestRun:
         assert code == 13
         assert "relational" in err
 
+    def test_relational_misuse_names_the_same_write_in_every_process(self, tmp_path):
+        # both atoms get a set; the message names the first write in a
+        # fixed order, not in the update set's hash order
+        bad = tmp_path / "setvalued.machine"
+        bad.write_text(
+            "signature:\n  dynamic m/1 relational\nspace: 9\n\nrule:\n"
+            "forall v in Atoms do\n  m(v) := {v}\nenddo\n",
+            encoding="utf-8",
+        )
+        runs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cpspace.cli", "run", str(bad),
+                 "--naked-set", "2", "--no-meta"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 13
+            runs.append((proc.stdout, proc.stderr))
+        assert runs[0] == runs[1]
+        assert "was assigned {a0}" in runs[0][1]
+
 
 class TestPfp:
     def test_extract_matches_golden_bytes(self, capsys):
@@ -168,6 +190,23 @@ class TestPfp:
                            "--name", "c", "--no-meta")
         assert code == 0
         assert out == (GOLDEN / "toggle_upd_state.sexpr").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        ("extract",), ("eval", "--naked-set", 2), ("lockstep", "--naked-set", 2),
+    ], ids=["extract", "eval", "lockstep"])
+    def test_rule_without_update_formula_exits_eleven(self, capsys, tmp_path, argv):
+        # a dynamic name under a comprehension has no update formula
+        machine = tmp_path / "comprehension.machine"
+        machine.write_text(
+            "signature:\n  dynamic c/0\n  dynamic d/0\nspace: 2 1\n\nrule:\n"
+            "d := {v | v in Atoms, v in c}\n",
+            encoding="utf-8",
+        )
+        code, out, err = cli(capsys, "pfp", argv[0], machine, *argv[1:])
+        assert code == 11
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "comprehension" in err and "Traceback" not in err
 
     def test_extract_has_no_mode_flag(self, capsys):
         # update formulas have one reading of dynamic atoms

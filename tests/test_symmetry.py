@@ -395,9 +395,9 @@ class TestInterning:
         a = mk_node([(Leaf(0), split), (Leaf(0), diag), (Leaf(0), split)])
         b = mk_node([(Leaf(0), diag), (Leaf(0), split)])
         assert a is b
-        # a configuration equal to an interned one, but built apart
+        # a configuration built apart from conf is the interned one
         again = make_config(2, 1, [[(1, 0)], [(0, 0)]])
-        assert again is not split and again == split
+        assert again is split
         assert mk_node([(Leaf(0), again), (Leaf(0), diag)]) is a
         assert hash(again) == hash(split)
 
