@@ -14,7 +14,9 @@ dict probes: the spoiler object's (form, molecule) from the `form_of`
 memo, the answer molecule from a per-universe cache for the rows of the
 other placed molecules on both sides, keyed by the spoiler's molecule,
 and the answer object from the `form_apply` memo, keyed by molecule
-and then by form.
+and then by form.  A miss of the answer cache reads the molecule from
+`symmetry.molecules_by_config`, which groups molecules by `conf`, so
+that one function decides whether two atom patterns are the same.
 
 `DuplicatorState` is the one record of a placement: per pebble, the
 form with the molecule and the object on each side.
@@ -39,7 +41,6 @@ every position with it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,10 +50,12 @@ from .symmetry import (
     Form,
     Molecule,
     SymmetricFragment,
+    conf,
     form_apply,
     form_apply_memo,
     form_of,
     form_of_memo,
+    molecules_by_config,
     resolve_budget,
 )
 
@@ -203,33 +206,6 @@ class DuplicatorState(NamedTuple):
         return tuple((e.x_a, e.x_b) for e in self.entries if e is not None)
 
 
-def _patterns_match(lead_a, rows_a, lead_b, rows_b) -> bool:
-    """The atom-equality pattern of lead_b against rows_b copies that of
-    lead_a against rows_a (the rows themselves already agree)."""
-    k = len(lead_a)
-    for ra, rb in zip(rows_a, rows_b):
-        for p in range(k):
-            ap = lead_a[p]
-            bp = lead_b[p]
-            for q in range(k):
-                if (ap == ra[q]) != (bp == rb[q]):
-                    return False
-    return True
-
-
-def _answer_molecule(u: Universe, sigma0: Molecule, rows_home, rows_other):
-    """The lex smallest molecule over u's atoms whose pattern against
-    rows_other copies that of sigma0 against rows_home, or None."""
-    return next(
-        (
-            tau0
-            for tau0 in itertools.permutations(range(u.n_atoms), len(sigma0))
-            if _patterns_match(sigma0, rows_home, tau0, rows_other)
-        ),
-        None,
-    )
-
-
 _UNSEEN = object()
 
 
@@ -245,13 +221,19 @@ def _responder(
     answer), where x0 decomposes as (phi0, sigma0) and y0 is phi0 applied
     to the answer molecule on the other side.
 
+    The answer molecule is the lex smallest tau over the other side's
+    atoms with conf((tau, *rows other)) equal to conf((sigma0, *rows
+    home)): the first of its group in `molecules_by_config`.  That is
+    the same as asking tau to copy sigma0's pattern against each row,
+    because the rows on the two sides already agree: each placement
+    was matched against every other placed molecule, and a partition
+    of the cells is fixed by its pairwise row patterns.
+
     What depends only on the position is read here, once: the rows of
     the other placed molecules on both sides, the home universe's
     `form_of` memo, the other universe's `form_apply` memo, and its cache
-    of answer molecules for these rows.  The lex smallest matching
-    molecule is a function of (sigma0, rows home, rows other), so it is
-    scanned for once per spoiler molecule and row pattern and kept in
-    the other universe's caches.  A warm move is then a few dict probes.
+    of answer molecules for these rows, keyed by sigma0, which a miss
+    fills from the table.  A warm move is then a few dict probes.
     """
     home, other = (a, b) if side == 0 else (b, a)
     hu, ou, k = home.universe, other.universe, home.k
@@ -276,7 +258,8 @@ def _responder(
         phi0, sigma0 = form_of(hu, x0, k) if got is None else got
         answer = answers.get(sigma0, _UNSEEN)
         if answer is _UNSEEN:
-            answer = answers[sigma0] = _answer_molecule(ou, sigma0, rows_home, rows_other)
+            taus = molecules_by_config(ou, k, rows_other).get(conf((sigma0, *rows_home)))
+            answer = answers[sigma0] = None if taus is None else taus[0]
         if answer is None:
             raise NoExtension(
                 f"no {home.k}-molecule over {ou.n_atoms} atoms matches "
@@ -486,7 +469,10 @@ def verify_duplicator(
                         return [Move("AB"[side], i, x0, y0)] + rest
         return None
 
-    trace = walk(DuplicatorState.fresh(m), depth)
+    try:
+        trace = walk(DuplicatorState.fresh(m), depth)
+    finally:
+        del walk  # it refers to itself through its cell, a cycle holding `seen`
     if trace is None:
         return GameReport(True, m, depth, nodes)
     return GameReport(False, m, depth, nodes, trace)
@@ -649,7 +635,10 @@ def solve_game(
         memo[key] = result
         return result
 
-    spoiler = wins((), depth)
+    try:
+        spoiler = wins((), depth)
+    finally:
+        del wins  # it refers to itself through its cell, a cycle holding the boards
     return SolveResult(spoiler, m, depth, nodes)
 
 

@@ -389,17 +389,8 @@ def _upd_member(
     if isinstance(rule, Assign):
         if rule.name != fname:
             return FALSEF
-        parts = []
-        for xv, t in zip(arg_vars, rule.args):
-            if term_contains_dynamic(t, sig):
-                parts.append(value_formula(t, xv, sig, fresh))
-            else:
-                parts.append(TermEq(Variable(xv), t))
-        t0 = rule.value
-        if term_contains_dynamic(t0, sig):
-            parts.append(value_formula(t0, val_var, sig, fresh))
-        else:
-            parts.append(TermEq(Variable(val_var), t0))
+        parts = [value_formula(t, xv, sig, fresh) for xv, t in zip(arg_vars, rule.args)]
+        parts.append(value_formula(rule.value, val_var, sig, fresh))
         return mk_and(parts)
     if isinstance(rule, If):
         cond = bool_formula(rule.cond, sig, fresh)
@@ -961,7 +952,7 @@ def iterate_stages(
     bodies = [(sb, _plan(sb.formula, _Shape(frozenset(sb.arg_vars + (sb.val_var,)), frozenset())))
               for sb in stage_bodies(program)]
     stages = [tables]
-    seen = {tables_key(tables): 0}
+    seen = {tables_key(tables)}
     while len(stages) <= max_stages:
         new: dict[str, dict] = {}
         for sb, plan in bodies:
@@ -985,7 +976,7 @@ def iterate_stages(
         if key in seen:
             empty = {n: {} for n in sig.dynamic_names()}
             return StageResult("cycled", stages, empty)
-        seen[key] = len(stages) - 1
+        seen.add(key)
         tables = new
     return StageResult("stage-cap", stages, {n: {} for n in sig.dynamic_names()})
 

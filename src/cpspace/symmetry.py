@@ -24,7 +24,10 @@ intern table holds its nodes weakly, keyed by each node's own canonical
 pair tuple: a form lives as long as something uses it (a memo of a
 universe, a caller) and no longer.  Configurations are interned too:
 `make_config` returns the one Config of each (ell, k, blocks), and
-`conf` goes through it, so a Config also compares by identity.
+`conf` goes through it, so a Config also compares by identity.  `conf`
+is the one test of whether molecules share an equality pattern:
+`molecules_by_config` groups molecules by it, for `form_apply` and for
+the duplicator's answers in `pebble`.
 
 Decomposing and applying forms reads per-molecule rows, kept in the
 universe's caches, instead of re-deriving per element what depends only
@@ -388,25 +391,31 @@ def realize_config(config: Config, u: Universe) -> tuple[Molecule, ...]:
 
 
 def all_configs2(k: int) -> tuple[Config, ...]:
-    """All configurations of two k-molecules: partial injective matchings
-    between the two rows, singletons elsewhere."""
-    out = []
-    for picked in itertools.chain.from_iterable(
-        itertools.combinations(range(k), s) for s in range(k + 1)
-    ):
-        for images in itertools.permutations(range(k), len(picked)):
-            matched = dict(zip(picked, images))
-            blocks = []
-            for p in range(k):
-                if p in matched:
-                    blocks.append(((0, p), (1, matched[p])))
-                else:
-                    blocks.append(((0, p),))
-            blocks.extend(
-                ((1, q),) for q in range(k) if q not in set(matched.values())
-            )
-            out.append(make_config(2, k, blocks))
-    return tuple(sorted(set(out), key=lambda c: c.blocks))
+    """All configurations of two k-molecules, in block order: those of
+    (0, ..., k-1) against every k-molecule over 2k atoms, which is room
+    for every pattern."""
+    lead = tuple(range(k))
+    return tuple(sorted(
+        {conf((lead, sigma)) for sigma in itertools.permutations(range(2 * k), k)},
+        key=lambda c: c.blocks,
+    ))
+
+
+def molecules_by_config(
+    u: Universe, k: int, rows: tuple[Molecule, ...]
+) -> dict[Config, tuple[Molecule, ...]]:
+    """Every k-molecule tau over u's atoms, grouped by conf((tau, *rows)),
+    each group in `itertools.permutations` order.  Made once per (k, rows)
+    and kept in u's caches; a configuration no molecule induces has no
+    entry, and k > n gives an empty table."""
+    tables = u.caches.setdefault("molecules_by_config", {})
+    got = tables.get((k, rows))
+    if got is None:
+        groups: dict[Config, list[Molecule]] = {}
+        for tau in itertools.permutations(range(u.n_atoms), k):
+            groups.setdefault(conf((tau, *rows)), []).append(tau)
+        got = tables[k, rows] = {c: tuple(taus) for c, taus in groups.items()}
+    return got
 
 
 # -- forms -------------------------------------------------------------------
@@ -682,22 +691,6 @@ def parse_form(text: str) -> Form:
 
 # -- applying and extracting forms -------------------------------------------
 
-def _config_matches(tau, sigma, config: Config) -> bool:
-    """conf((tau, sigma)) == config, without building the partition."""
-    rows = (tau, sigma)
-    seen = set()
-    for block in config.blocks:
-        i0, p0 = block[0]
-        atom = rows[i0][p0]
-        for i, p in block[1:]:
-            if rows[i][p] != atom:
-                return False
-        if atom in seen:
-            return False
-        seen.add(atom)
-    return True
-
-
 def form_apply_memo(u: Universe) -> dict[Molecule, dict[Form, ObjId]]:
     """u's memo of `form_apply`: checked molecule -> form -> object.
     Callers may read it; a miss goes through `form_apply`."""
@@ -742,13 +735,11 @@ def _apply(u: Universe, phi: Node, sigma: Molecule, memo, rows) -> ObjId:
     values of a pair (child, config) at sig, the child's value at every
     molecule that induces config against sig, are kept in the row
     rows[sig] = u.caches["pair_values"][sig], so a node costs one probe
-    per pair.  A row entry is made once the child's values are all
-    known; children still missing go on the stack in pair order, then
-    molecule order.
+    per pair.  The molecules that induce a configuration against sig
+    are its group in `molecules_by_config(u, k, (sig,))`.  A row entry
+    is made once the child's values are all known; children still
+    missing go on the stack in pair order, then molecule order.
     """
-    # (configuration, molecule) -> the molecules tau with conf((tau, sigma))
-    # equal to it, in permutation order; one entry per pair of molecules
-    matching = u.caches.setdefault("config_matches", {})
     k = len(sigma)
     stack = [(phi, sigma)]
     while stack:
@@ -764,6 +755,7 @@ def _apply(u: Universe, phi: Node, sigma: Molecule, memo, rows) -> ObjId:
             row = rows[sig] = {}
         parts = list(map(row.get, node.pairs))
         if None in parts:
+            by_config = molecules_by_config(u, k, (sig,))
             missing: list = []
             for i, pair in enumerate(node.pairs):
                 if parts[i] is not None:
@@ -771,12 +763,7 @@ def _apply(u: Universe, phi: Node, sigma: Molecule, memo, rows) -> ObjId:
                 child, config = pair
                 if config.ell != 2 or config.k != k:
                     raise SymmetryError("node configuration is not over two k-molecules")
-                taus = matching.get((config, sig))
-                if taus is None:
-                    taus = matching[config, sig] = tuple(
-                        tau for tau in itertools.permutations(range(u.n_atoms), k)
-                        if _config_matches(tau, sig, config)
-                    )
+                taus = by_config.get(config, ())
                 if isinstance(child, Leaf):
                     if not 0 <= child.pos < k:
                         raise SymmetryError(f"leaf position {child.pos} outside molecule {sig}")

@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, reports, determinism, the game REPL."""
 
 import argparse
+import ast
 import io
 import itertools
 import json
@@ -18,6 +19,7 @@ from cpspace.symmetry import build_fragment, parse_fragment
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+PACKAGE = Path(__file__).parent.parent / "src" / "cpspace"
 
 
 def cli(capsys, *argv):
@@ -561,6 +563,23 @@ class TestPlumbing:
             assert synopsis[command] == options - output_flags, command
             interactive = command == ("pebble", "play")
             assert output_flags.isdisjoint(options) == interactive, command
+
+    def test_package_imports_only_the_standard_library(self):
+        # pure Python with no runtime dependencies: each import in each
+        # module names a standard-library module or the package itself
+        modules = sorted(PACKAGE.rglob("*.py"))
+        assert modules
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    assert top in sys.stdlib_module_names or top == "cpspace", (path.name, name)
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Pebble-game tests: structures, the form strategy, verifier, solver."""
 
+import gc
 import itertools
 import random
 
@@ -470,6 +471,26 @@ class TestSolveGame:
         s = struct(3, 1, 1)
         assert solve_game(s, s, 2, 0).duplicator_survives
         assert verify_duplicator(s, s, 2, 0).survived
+
+    @pytest.mark.parametrize("play", [solve_game, verify_duplicator])
+    def test_calls_leave_nothing_for_the_collector(self, play):
+        # reference counting alone frees a call's tables and positions,
+        # whether it returns or stops at its budget
+        a, b = struct(3, 1, 1), struct(4, 1, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            play(a, b, 2, 2)
+            assert gc.collect() == 0
+            try:
+                play(a, b, 2, 2, node_budget=5)
+            except BudgetExceeded:
+                pass
+            else:
+                raise AssertionError("the budget did not stop the call")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGameSession:

@@ -42,6 +42,7 @@ from cpspace.symmetry import (
     make_config,
     min_support,
     mk_node,
+    molecules_by_config,
     padded_molecule,
     parse_form,
     parse_fragment,
@@ -290,9 +291,46 @@ class TestConfigurations:
     def test_pair_configuration_counts(self):
         # partial injective matchings between two k-rows:
         # sum over s of C(k,s)^2 * s!
+        assert len(all_configs2(0)) == 1
         assert len(all_configs2(1)) == 2
         assert len(all_configs2(2)) == 7
         assert len(all_configs2(3)) == 34
+
+    @staticmethod
+    def partial_matchings(k):
+        """Reference: every partial injective matching between the two
+        rows, a block per matched pair and singletons elsewhere."""
+        out = set()
+        for s in range(k + 1):
+            for picked in itertools.combinations(range(k), s):
+                for images in itertools.permutations(range(k), s):
+                    blocks = [((0, p), (1, q)) for p, q in zip(picked, images)]
+                    blocks += [((0, p),) for p in range(k) if p not in picked]
+                    blocks += [((1, q),) for q in range(k) if q not in images]
+                    out.add(make_config(2, k, blocks))
+        return tuple(sorted(out, key=lambda c: c.blocks))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_pair_configurations_are_the_partial_matchings(self, k):
+        assert all_configs2(k) == self.partial_matchings(k)
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("ell", range(3))
+    def test_molecules_by_config_matches_a_conf_scan(self, n, k, ell):
+        # against a scan in permutation order, for every tuple of ell rows;
+        # rows may name atoms beyond n, and k > n leaves no molecule at all
+        u = Universe(n)
+        mols = list(itertools.permutations(range(n), k))
+        for rows in itertools.product(itertools.permutations(range(max(n, k)), k), repeat=ell):
+            want = {}
+            for tau in mols:
+                want.setdefault(conf((tau, *rows)), []).append(tau)
+            table = molecules_by_config(u, k, rows)
+            assert table == {c: tuple(taus) for c, taus in want.items()}, rows
+            assert molecules_by_config(u, k, rows) is table
+            if k > n:
+                assert table == {}
 
     def test_related_queries(self):
         # cells are related when one block holds both
