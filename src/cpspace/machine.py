@@ -62,9 +62,6 @@ class InputStructure:
                 return tuples
         return frozenset()
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.relations)
-
 
 def make_input(n_atoms: int, relations: dict[str, set] | None = None) -> InputStructure:
     rels = []

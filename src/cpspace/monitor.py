@@ -11,9 +11,10 @@ set universe the state actually touches:
 
 Each state is inspected in a fixed order: first the space bound (a
 state whose active count exceeds p(n) truncates the run and is kept
-only as the witness), then Halt (accept iff Output is 1), then a cycle
-check on exact table fingerprints (a repeated state can never lead
-anywhere new, so the run diverges), and only then the next step.
+only as its final state, the witness), then Halt (accept iff Output is
+1), then a cycle check on exact table fingerprints (a repeated state
+can never lead anywhere new, so the run diverges), and only then the
+next step.
 An optional step budget turns very long runs into a distinct outcome
 instead of hanging.
 """
@@ -139,7 +140,6 @@ class RunTrace:
     states: list[State] = field(default_factory=list)
     active_sizes: list[int] = field(default_factory=list)
     final_state: State | None = None
-    witness: State | None = None
     witness_active: int | None = None
 
     @property
@@ -172,7 +172,6 @@ def run(
         active = len(active_objects(state))
         if active > bound:
             trace.outcome = RunOutcome.SPACE_EXCEEDED
-            trace.witness = state
             trace.witness_active = active
             trace.final_state = state
             return trace

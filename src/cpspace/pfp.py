@@ -67,8 +67,9 @@ from cpspace.syntax import (
     Term,
     Variable,
     free_vars,
-    term_contains_dynamic,
+    nodes,
     subst_term,
+    term_contains_dynamic,
 )
 
 
@@ -282,42 +283,12 @@ class FreshNames:
 
 
 def rule_variable_names(rule: Rule) -> set[str]:
-    out: set[str] = set()
-
-    def walk_term(t: Term):
-        if isinstance(t, Variable):
-            out.add(t.name)
-        elif isinstance(t, Apply):
-            for a in t.args:
-                walk_term(a)
-        elif isinstance(t, Comprehension):
-            out.add(t.var)
-            walk_term(t.head)
-            walk_term(t.source)
-            walk_term(t.guard)
-
-    def walk(r: Rule):
-        if isinstance(r, Skip):
-            return
-        if isinstance(r, Assign):
-            for a in r.args:
-                walk_term(a)
-            walk_term(r.value)
-            return
-        if isinstance(r, If):
-            walk_term(r.cond)
-            walk(r.then_rule)
-            walk(r.else_rule)
-            return
-        if isinstance(r, Forall):
-            out.add(r.var)
-            walk_term(r.source)
-            walk(r.body)
-            return
-        raise TypeError(f"not a rule: {r!r}")
-
-    walk(rule)
-    return out
+    """Every variable name in the rule, bound or free."""
+    return {
+        node.name if isinstance(node, Variable) else node.var
+        for node in nodes(rule)
+        if isinstance(node, (Variable, Comprehension, Forall))
+    }
 
 
 # -- flattening dynamic subterms --------------------------------------------------
@@ -409,10 +380,10 @@ def _upd_member(
     raise TypeError(f"not a rule: {rule!r}")
 
 
-_PathEntry = tuple  # ('bind', var, source) | ('cond', term, positive)
-
-
 def _collect_assignments(rule: Rule, path: tuple, out: list):
+    """Append (path, assignment) for each assignment under the rule.  A
+    path lists the binders and guards above the assignment, outermost
+    first, each ('bind', var, source) or ('cond', term, positive)."""
     if isinstance(rule, Skip):
         return
     if isinstance(rule, Assign):

@@ -522,12 +522,8 @@ def mk_node(pairs) -> Node:
     holds nodes weakly, so a form lives exactly as long as something
     else (a universe's memo, a caller) holds it.
     """
-    return _intern(set(pairs), _pair_order)
-
-
-def _intern(pairs: set, order) -> Node:
-    """mk_node for a pair set whose pairs sort canonically by order(pair)."""
-    key = tuple(sorted(pairs, key=order)) if len(pairs) > 1 else tuple(pairs)
+    pairs = set(pairs)
+    key = tuple(sorted(pairs, key=_pair_order)) if len(pairs) > 1 else tuple(pairs)
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
@@ -798,9 +794,9 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
 
     Each first support has one molecule, and each molecule sigma one
     row u.caches[("form_pairs", k)][sigma]: child object -> the pair
-    (child form, configuration against sigma), made once, with its sort
-    key.  A set whose members all have pairs in its row costs one probe
-    per member, and the nodes on one molecule share its pair tuples.
+    (child form, configuration against sigma), made once.  A set whose
+    members all have pairs in its row costs one probe per member, and
+    the nodes on one molecule share its pair tuples.
     """
     memo = form_of_memo(u, k)
     got = memo.get(x)
@@ -810,9 +806,6 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
     # first support -> (its molecule, the molecule's row)
     sites = u.caches.setdefault(("form_sites", k), {})
     rows = u.caches.setdefault(("form_pairs", k), {})
-    # pair of a row -> its sort key in a node: (child form key, blocks)
-    pair_keys = u.caches.setdefault(("form_pair_keys", k), {})
-    order = pair_keys.__getitem__
     stack: list = []
 
     def site(supp):
@@ -828,7 +821,6 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
     def add_pair(row, sigma, e: ObjId) -> tuple[Form, Config]:
         phi, child_sigma = memo[e]
         pair = row[e] = (phi, conf((child_sigma, sigma)))
-        pair_keys[pair] = (form_key(phi), pair[1].blocks)
         return pair
 
     def enter(y: ObjId) -> bool:
@@ -855,7 +847,7 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
         if None in pairs:
             stack.append((y, sigma, row, iter(elems), []))
             return True
-        memo[y] = (_intern(set(pairs), order), sigma)
+        memo[y] = (mk_node(pairs), sigma)
         return False
 
     if not enter(x):
@@ -870,7 +862,7 @@ def form_of(u: Universe, x: ObjId, k: int) -> tuple[Form, Molecule]:
                 pair = add_pair(row, sigma, e)
             pairs.append(pair)
         else:
-            got = memo[y] = (_intern(set(pairs), order), sigma)
+            got = memo[y] = (mk_node(pairs), sigma)
             stack.pop()
             if not stack:
                 return got

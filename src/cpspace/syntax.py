@@ -54,6 +54,16 @@ Rules::
 the encoded index set {1, ..., k} whose body selects the branch by
 index, so downstream passes only ever see the four core rule forms.
 The rule of a program must be closed.
+
+Walking the tree
+----------------
+
+`nodes` is the one generic walk: every term and rule of a tree in
+preorder, on an explicit stack.  `term_contains_dynamic`, `validate` and
+`pfp.rule_variable_names` read it.  Three walks stay hand-written,
+because a plain preorder cannot say what they need: `free_vars` and
+`subst_term` follow binder scope, and `pfp._collect_assignments` keeps
+the path of guards and binders down to each assignment.
 """
 
 from __future__ import annotations
@@ -77,9 +87,6 @@ BACKGROUND_ARITY: dict[str, int] = {
     "TheUnique": 1,
     "Pair": 2,
 }
-
-# background names that denote relations (always Boolean-valued)
-BACKGROUND_RELATIONAL = {"true", "false", "and", "or", "not", "=", "in"}
 
 KEYWORDS = {
     "skip", "if", "then", "else", "endif",
@@ -137,6 +144,16 @@ class Signature:
             if n == name:
                 return a, rel
         return None
+
+    def arity(self, name: str) -> int | None:
+        """The arity of a background, input or dynamic name, else None."""
+        arity = BACKGROUND_ARITY.get(name)
+        if arity is None:
+            arity = self.input_arity(name)
+        if arity is None:
+            info = self.dynamic_info(name)
+            arity = None if info is None else info[0]
+        return arity
 
     def is_input(self, name: str) -> bool:
         return self.input_arity(name) is not None
@@ -248,6 +265,39 @@ TRUE_TERM = Apply("true")
 FALSE_TERM = Apply("false")
 
 
+# -- walking the tree -----------------------------------------------------------
+
+
+def _children(node) -> tuple:
+    """The direct subterms and subrules of a node, in field order."""
+    if isinstance(node, Apply):
+        return node.args
+    if isinstance(node, (Variable, Skip)):
+        return ()
+    if isinstance(node, Comprehension):
+        return node.head, node.source, node.guard
+    if isinstance(node, Assign):
+        return (*node.args, node.value)
+    if isinstance(node, If):
+        return node.cond, node.then_rule, node.else_rule
+    if isinstance(node, Forall):
+        return node.source, node.body
+    raise TypeError(f"not a term or rule: {node!r}")
+
+
+def nodes(node):
+    """Every term and rule of node's tree, node included, in preorder: a
+    node comes before its children, and children come in field order.
+    Walks an explicit stack, so deep trees need no recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        children = _children(node)
+        yield node
+        if children:
+            stack.extend(reversed(children))
+
+
 # -- free variables ------------------------------------------------------------
 
 
@@ -278,19 +328,10 @@ def free_vars(node) -> frozenset[str]:
 
 
 def term_contains_dynamic(term: Term, sig: Signature) -> bool:
-    if isinstance(term, Variable):
-        return False
-    if isinstance(term, Apply):
-        if sig.is_dynamic(term.name):
+    for t in nodes(term):
+        if isinstance(t, Apply) and sig.is_dynamic(t.name):
             return True
-        return any(term_contains_dynamic(a, sig) for a in term.args)
-    if isinstance(term, Comprehension):
-        return (
-            term_contains_dynamic(term.head, sig)
-            or term_contains_dynamic(term.source, sig)
-            or term_contains_dynamic(term.guard, sig)
-        )
-    raise TypeError(f"not a term: {term!r}")
+    return False
 
 
 def subst_term(term: Term, mapping: dict[str, Term]) -> Term:
@@ -409,22 +450,16 @@ class _Parser:
         tok = tok or self.peek()
         raise ProgramError(msg, tok.line, tok.col)
 
+    def at(self, kind: str, text: str | None = None) -> bool:
+        """Whether the next token has this kind and, if given, this text."""
+        t = self.peek()
+        return t.kind == kind and (text is None or t.text == text)
+
     def expect(self, kind: str, text: str | None = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+        if not self.at(kind, text):
             want = text or kind
-            self.fail(f"expected {want!r}, found {t.text or 'end of input'!r}")
+            self.fail(f"expected {want!r}, found {self.peek().text or 'end of input'!r}")
         return self.next()
-
-    def expect_keyword(self, word: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "ident" or t.text != word:
-            self.fail(f"expected {word!r}, found {t.text or 'end of input'!r}")
-        return self.next()
-
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
 
     def fresh_par_var(self) -> str:
         v = f"_par{self._par_count}"
@@ -435,19 +470,11 @@ class _Parser:
 
     def parse_term(self) -> Term:
         left = self.parse_operand()
-        t = self.peek()
-        if t.kind == "op" and t.text == "=":
-            self.next()
-            right = self.parse_operand()
-            out = Apply("=", (left, right), (t.line, t.col))
-        elif t.kind == "ident" and t.text == "in":
-            self.next()
-            right = self.parse_operand()
-            out = Apply("in", (left, right), (t.line, t.col))
-        else:
+        if not (self.at("op", "=") or self.at("ident", "in")):
             return left
-        nxt = self.peek()
-        if (nxt.kind == "op" and nxt.text == "=") or (nxt.kind == "ident" and nxt.text == "in"):
+        t = self.next()
+        out = Apply(t.text, (left, self.parse_operand()), (t.line, t.col))
+        if self.at("op", "=") or self.at("ident", "in"):
             self.fail("comparisons do not chain; parenthesize")
         return out
 
@@ -460,12 +487,12 @@ class _Parser:
             if t.text == "1":
                 return Apply("true", (), (t.line, t.col))
             self.fail("only the numerals 0 and 1 are terms", t)
-        if t.kind == "op" and t.text == "(":
+        if self.at("op", "("):
             self.next()
             inner = self.parse_term()
             self.expect("op", ")")
             return inner
-        if t.kind == "op" and t.text == "{":
+        if self.at("op", "{"):
             return self.parse_braces()
         if t.kind == "ident":
             if t.text in KEYWORDS:
@@ -476,7 +503,7 @@ class _Parser:
             arglist = self.parse_args()
             has_parens = arglist is not None
             args = arglist or ()
-            if name in BACKGROUND_ARITY or self.sig.is_input(name) or self.sig.is_dynamic(name):
+            if self.sig.arity(name) is not None:
                 return Apply(name, args, span)
             if has_parens or not (name[0].islower() or name[0] == "_"):
                 return Apply(name, args, span)  # unknown symbol; validate reports it
@@ -486,13 +513,13 @@ class _Parser:
     def parse_args(self) -> tuple[Term, ...] | None:
         """A parenthesized, comma-separated list of terms, or None when no
         '(' comes next."""
-        if not (self.peek().kind == "op" and self.peek().text == "("):
+        if not self.at("op", "("):
             return None
         self.next()
         args = []
-        if not (self.peek().kind == "op" and self.peek().text == ")"):
+        if not self.at("op", ")"):
             args.append(self.parse_term())
-            while self.peek().kind == "op" and self.peek().text == ",":
+            while self.at("op", ","):
                 self.next()
                 args.append(self.parse_term())
         self.expect("op", ")")
@@ -501,25 +528,24 @@ class _Parser:
     def parse_braces(self) -> Term:
         opener = self.expect("op", "{")
         span = (opener.line, opener.col)
-        if self.peek().kind == "op" and self.peek().text == "}":
+        if self.at("op", "}"):
             self.next()
             return Apply("emptyset", (), span)
         first = self.parse_term()
-        t = self.peek()
-        if t.kind == "op" and t.text == "|":
+        if self.at("op", "|"):
             self.next()
             var_tok = self.expect("ident")
             self._check_binder(var_tok)
-            self.expect_keyword("in")
+            self.expect("ident", "in")
             source = self.parse_term()
             guard: Term = Apply("true", (), span)
-            if self.peek().kind == "op" and self.peek().text == ",":
+            if self.at("op", ","):
                 self.next()
                 guard = self.parse_term()
             self.expect("op", "}")
             return Comprehension(first, var_tok.text, source, guard, span)
         elems = [first]
-        while self.peek().kind == "op" and self.peek().text == ",":
+        while self.at("op", ","):
             self.next()
             elems.append(self.parse_term())
         self.expect("op", "}")
@@ -529,7 +555,7 @@ class _Parser:
         name = tok.text
         if name in KEYWORDS:
             self.fail(f"keyword {name!r} cannot be a bound variable", tok)
-        if name in BACKGROUND_ARITY or self.sig.is_input(name) or self.sig.is_dynamic(name):
+        if self.sig.arity(name) is not None:
             self.fail(f"bound variable {name!r} shadows a declared name", tok)
 
     # rules
@@ -544,29 +570,29 @@ class _Parser:
         if t.text == "if":
             self.next()
             cond = self.parse_term()
-            self.expect_keyword("then")
+            self.expect("ident", "then")
             then_rule = self.parse_rule()
             else_rule: Rule = Skip((t.line, t.col))
-            if self.at_keyword("else"):
+            if self.at("ident", "else"):
                 self.next()
                 else_rule = self.parse_rule()
-            self.expect_keyword("endif")
+            self.expect("ident", "endif")
             return If(cond, then_rule, else_rule, (t.line, t.col))
         if t.text == "forall":
             self.next()
             var_tok = self.expect("ident")
             self._check_binder(var_tok)
-            self.expect_keyword("in")
+            self.expect("ident", "in")
             source = self.parse_term()
-            self.expect_keyword("do")
+            self.expect("ident", "do")
             body = self.parse_rule()
-            self.expect_keyword("enddo")
+            self.expect("ident", "enddo")
             return Forall(var_tok.text, source, body, (t.line, t.col))
         if t.text == "par":
             self.next()
             branches = [self.parse_rule()]
-            while not self.at_keyword("endpar"):
-                if self.peek().kind == "eof":
+            while not self.at("ident", "endpar"):
+                if self.at("eof"):
                     self.fail("unterminated 'par' block")
                 branches.append(self.parse_rule())
             self.next()
@@ -671,82 +697,28 @@ def validate(program: Program) -> list[Diagnostic]:
     sig = program.signature
     diags: list[Diagnostic] = []
 
-    def span_of(node) -> Span:
-        return getattr(node, "span", None) or (0, 0)
+    def report(node, message: str):
+        line, col = getattr(node, "span", None) or (0, 0)
+        diags.append(Diagnostic(message, line, col))
 
-    def check_term(term: Term):
-        if isinstance(term, Variable):
-            return
-        if isinstance(term, Apply):
-            expected = BACKGROUND_ARITY.get(term.name)
+    def check(node):
+        if isinstance(node, Assign) and sig.is_input(node.name):
+            report(node, f"cannot assign to input name {node.name!r}: "
+                         "input relations are read-only")
+        elif isinstance(node, Assign) and node.name in BACKGROUND_ARITY:
+            report(node, f"cannot assign to background name {node.name!r}")
+        elif isinstance(node, (Apply, Assign)):
+            expected = sig.arity(node.name)
             if expected is None:
-                expected = sig.input_arity(term.name)
-            if expected is None:
-                info = sig.dynamic_info(term.name)
-                expected = info[0] if info else None
-            if expected is None:
-                line, col = span_of(term)
-                diags.append(Diagnostic(f"unknown symbol {term.name!r}", line, col))
-            elif expected != len(term.args):
-                line, col = span_of(term)
-                diags.append(Diagnostic(
-                    f"{term.name!r} expects {expected} argument(s), got {len(term.args)}",
-                    line, col))
-            for a in term.args:
-                check_term(a)
-            return
-        if isinstance(term, Comprehension):
-            if term.var in free_vars(term.source):
-                line, col = span_of(term)
-                diags.append(Diagnostic(
-                    f"comprehension variable {term.var!r} occurs free in its source",
-                    line, col))
-            check_term(term.head)
-            check_term(term.source)
-            check_term(term.guard)
-            return
-        raise TypeError(f"not a term: {term!r}")
+                report(node, f"unknown symbol {node.name!r}")
+            elif expected != len(node.args):
+                report(node, f"{node.name!r} expects {expected} argument(s), got {len(node.args)}")
+        elif isinstance(node, (Comprehension, Forall)) and node.var in free_vars(node.source):
+            binder = "comprehension variable" if isinstance(node, Comprehension) else "bound variable"
+            report(node, f"{binder} {node.var!r} occurs free in its source")
 
-    def check_rule(rule: Rule):
-        if isinstance(rule, Skip):
-            return
-        if isinstance(rule, Assign):
-            line, col = span_of(rule)
-            info = sig.dynamic_info(rule.name)
-            if info is None:
-                if sig.is_input(rule.name):
-                    diags.append(Diagnostic(
-                        f"cannot assign to input name {rule.name!r}: input relations are read-only",
-                        line, col))
-                elif rule.name in BACKGROUND_ARITY:
-                    diags.append(Diagnostic(
-                        f"cannot assign to background name {rule.name!r}", line, col))
-                else:
-                    diags.append(Diagnostic(f"unknown symbol {rule.name!r}", line, col))
-            elif info[0] != len(rule.args):
-                diags.append(Diagnostic(
-                    f"{rule.name!r} expects {info[0]} argument(s), got {len(rule.args)}",
-                    line, col))
-            for a in rule.args:
-                check_term(a)
-            check_term(rule.value)
-            return
-        if isinstance(rule, If):
-            check_term(rule.cond)
-            check_rule(rule.then_rule)
-            check_rule(rule.else_rule)
-            return
-        if isinstance(rule, Forall):
-            if rule.var in free_vars(rule.source):
-                line, col = span_of(rule)
-                diags.append(Diagnostic(
-                    f"bound variable {rule.var!r} occurs free in its source", line, col))
-            check_term(rule.source)
-            check_rule(rule.body)
-            return
-        raise TypeError(f"not a rule: {rule!r}")
-
-    check_rule(program.rule)
+    for node in nodes(program.rule):
+        check(node)
     loose = free_vars(program.rule)
     if loose:
         names = ", ".join(sorted(loose))

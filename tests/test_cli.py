@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 PACKAGE = Path(__file__).parent.parent / "src" / "cpspace"
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def cli(capsys, *argv):
@@ -580,6 +582,34 @@ class TestPlumbing:
                 for name in names:
                     top = name.split(".")[0]
                     assert top in sys.stdlib_module_names or top == "cpspace", (path.name, name)
+
+    def test_every_module_level_name_is_used(self):
+        # delete helpers nothing uses: each function, class and constant a
+        # module defines at its top level is named in src/, tests/ or bench/
+        # somewhere besides the line that defines it
+        root = PACKAGE.parent.parent
+        words = Counter()
+        for folder in ("src", "tests", "bench"):
+            for path in (root / folder).rglob("*.py"):
+                words.update(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+        unused = []
+        for path in sorted(PACKAGE.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            for node in ast.parse(source).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                own = IDENTIFIER.findall(lines[node.lineno - 1])
+                for name in names:
+                    dunder = name.startswith("__") and name.endswith("__")
+                    if not dunder and words[name] <= own.count(name):
+                        unused.append(f"{path.name}: {name}")
+        assert unused == []
 
     def test_console_script_is_wired(self):
         proc = subprocess.run(

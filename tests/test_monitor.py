@@ -91,7 +91,8 @@ class TestActiveObjectsAgainstClosures:
             inputs.append(parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8")))
         for inp in inputs:
             trace = run(machine, inp, max_steps=100)  # deep never halts
-            witness = [] if trace.witness is None else [trace.witness]
+            exceeded = trace.outcome is RunOutcome.SPACE_EXCEEDED
+            witness = [trace.final_state] if exceeded else []
             for state in trace.states + witness:
                 assert active_objects(state) == self.union_of_closures(state), name
 
@@ -143,10 +144,10 @@ class TestOutcomes:
 
     def test_witness_excluded_from_active_union(self):
         trace = run(fixture("grow.machine"), make_input(3))
-        u = trace.witness.universe
-        grown = trace.witness.lookup("c")
+        assert trace.outcome is RunOutcome.SPACE_EXCEEDED
+        grown = trace.final_state.lookup("c")
         assert grown not in trace.active_union()
-        assert grown in active_objects(trace.witness)
+        assert grown in active_objects(trace.final_state)
 
     def test_space_checked_before_halt(self):
         # halting state that also violates the bound counts as exceeded

@@ -1,8 +1,15 @@
-"""Parser, validator, and printer tests for machine programs."""
+"""Parser, validator, walker and printer tests for machine programs."""
+
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from randgen import random_triple
+from walks import contains_dynamic, preorder, variable_names
 
+from cpspace.pfp import rule_variable_names
 from cpspace.syntax import (
     Apply,
     Assign,
@@ -17,13 +24,17 @@ from cpspace.syntax import (
     Variable,
     free_vars,
     make_signature,
+    nodes,
     numeral,
     parse_program,
     pretty_print,
     set_display,
+    term_contains_dynamic,
     term_to_text,
     validate,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TRUE = Apply("true")
 FALSE = Apply("false")
@@ -170,6 +181,14 @@ class TestRuleParsing:
         walk(p.rule)
         assert len(names) == 2
 
+    def test_missing_keyword_names_the_found_token(self):
+        text = "signature:\n  dynamic c/0\n\nrule:\nif not(Halt) then c := 1 els c := 0 endif\n"
+        with pytest.raises(ProgramError) as info:
+            parse_program(text)
+        err = info.value
+        assert (err.message, err.line, err.col) == ("expected 'endif', found 'els'", 5, 26)
+        assert str(err) == "expected 'endif', found 'els' (line 5, col 26)"
+
     def test_unterminated_par(self):
         with pytest.raises(ProgramError, match="unterminated"):
             prog("par Output := 1")
@@ -272,6 +291,54 @@ class TestValidation:
         with pytest.raises(ProgramError, match="shadows"):
             prog("forall c in Atoms do skip enddo", header="signature:\n  dynamic c/0\n")
 
+    @staticmethod
+    def many_defects() -> Program:
+        """A rule with one of each defect, nested, and one spanless node."""
+        def var(name, line, col):
+            return Variable(name, (line, col))
+
+        def app(name, args, line, col):
+            return Apply(name, tuple(args), (line, col))
+
+        sig = make_signature(inputs=(("E", 2),), dynamics=(("c", 1, False),))
+        source = app("Pair", [var("v", 3, 17), app("Frob", [], 3, 20)], 3, 12)
+        compr = Comprehension(var("y", 4, 16), "y", app("Union", [var("y", 4, 30)], 4, 24),
+                              app("c", [], 4, 35), (4, 15))
+        body = Assign("c", (var("v", 4, 7), var("v", 4, 10)), compr, (4, 5))
+        loop = Forall("v", source, body, (3, 5))
+        spanless = Forall("z", Apply("Atoms"), Assign("Foo", (Variable("z"),), Variable("q")))
+        other = If(app("true", [], 5, 8),
+                   Assign("E", (), app("Atoms", [], 5, 20), (5, 15)),
+                   If(app("not", [], 6, 6), Assign("Atoms", (), app("emptyset", [], 6, 25), (6, 16)),
+                      spanless, (6, 3)),
+                   (5, 5))
+        return Program(sig, If(app("E", [var("w", 2, 6)], 2, 4), loop, other, (1, 1)))
+
+    def test_validate_reports_every_defect_in_preorder(self):
+        diags = validate(self.many_defects())
+        assert [(d.message, d.line, d.col) for d in diags] == [
+            ("'E' expects 2 argument(s), got 1", 2, 4),
+            ("bound variable 'v' occurs free in its source", 3, 5),
+            ("unknown symbol 'Frob'", 3, 20),
+            ("'c' expects 1 argument(s), got 2", 4, 5),
+            ("comprehension variable 'y' occurs free in its source", 4, 15),
+            ("'c' expects 1 argument(s), got 0", 4, 35),
+            ("cannot assign to input name 'E': input relations are read-only", 5, 15),
+            ("'not' expects 1 argument(s), got 0", 6, 6),
+            ("cannot assign to background name 'Atoms'", 6, 16),
+            ("unknown symbol 'Foo'", 0, 0),
+            ("program rule is not closed; free: q, w", None, None),
+        ]
+
+    def test_parse_program_raises_the_first_diagnostic(self):
+        text = ("signature:\n  input E/2\n  dynamic c/1\n\nrule:\n"
+                "forall v in Pair(v, Frob) do c(v, v) := 1 enddo\n")
+        with pytest.raises(ProgramError) as info:
+            parse_program(text)
+        err = info.value
+        assert (err.message, err.line, err.col) == (
+            "bound variable 'v' occurs free in its source", 6, 1)
+
     def test_validate_collects_multiple_diagnostics(self):
         sig = make_signature()
         rule = Assign("Output", (), Apply("Pair", (Variable("x"),)))
@@ -297,6 +364,63 @@ class TestFreeVars:
     def test_if_collects_all_parts(self):
         r = If(Variable("a"), Assign("Output", (), Variable("b")), Skip())
         assert free_vars(r) == {"a", "b"}
+
+
+def sample_programs() -> list[Program]:
+    """Every fixture, then 200 random programs of `randgen`."""
+    programs = [parse_program(p.read_text(encoding="utf-8"))
+                for p in sorted(FIXTURES.glob("*.machine"))]
+    rng = random.Random(20261020)
+    return programs + [random_triple(rng)[0] for _ in range(200)]
+
+
+class TestWalk:
+    def test_nodes_in_preorder_over_every_node_kind(self):
+        # distinct objects, so the order is checked by identity
+        atoms, source, true = Apply("Atoms"), Apply("Atoms"), Apply("true")
+        head, x, y, m_arg = Variable("x"), Variable("x"), Variable("y"), Variable("y")
+        guard = Apply("in", (x, y))
+        compr = Comprehension(head, "x", source, guard)
+        assign = Assign("m", (compr, m_arg), true)
+        cond = Apply("m", (m_arg,))
+        skip = Skip()
+        branch = If(cond, assign, skip)
+        rule = Forall("y", atoms, branch)
+        expected = [rule, atoms, branch, cond, m_arg, assign, compr, head, source, guard,
+                    x, y, m_arg, true, skip]
+        assert [id(n) for n in nodes(rule)] == [id(n) for n in expected]
+        assert [id(n) for n in nodes(compr)] == [id(n) for n in expected[6:12]]
+
+    def test_nodes_rejects_anything_else(self):
+        with pytest.raises(TypeError, match="not a term or rule"):
+            next(nodes("x"))
+        with pytest.raises(TypeError, match="not a term or rule"):
+            list(nodes(Apply("Pair", (TRUE, 1))))
+
+    def test_nodes_needs_no_recursion(self):
+        term = TRUE
+        for _ in range(3 * sys.getrecursionlimit()):
+            term = Apply("Union", (term,))
+        assert sum(1 for _ in nodes(term)) == 3 * sys.getrecursionlimit() + 1
+        assert not term_contains_dynamic(term, make_signature())
+
+    def test_walks_agree_with_their_recursive_readings(self):
+        checked = 0
+        for program in sample_programs():
+            sig, rule = program.signature, program.rule
+            walked = preorder(rule)
+            assert [id(n) for n in nodes(rule)] == [id(n) for n in walked]
+            assert rule_variable_names(rule) == variable_names(rule)
+            for node in walked:
+                if isinstance(node, (Variable, Apply, Comprehension)):
+                    assert term_contains_dynamic(node, sig) == contains_dynamic(node, sig)
+                    checked += contains_dynamic(node, sig)
+        assert checked > 100
+
+    def test_signature_arity(self):
+        sig = make_signature(inputs=(("E", 2),), dynamics=(("m", 1, True),))
+        assert [sig.arity(n) for n in ("Pair", "Atoms", "E", "m", "Halt", "Frob")] == [
+            2, 0, 2, 1, 0, None]
 
 
 SAMPLES = [
