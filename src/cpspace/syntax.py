@@ -294,7 +294,7 @@ def nodes(node):
         node = stack.pop()
         children = _children(node)
         yield node
-        if children:
+        if children:  # most nodes are leaves; skipping their push keeps extraction fast
             stack.extend(reversed(children))
 
 
