@@ -629,7 +629,8 @@ def _build_parser() -> _Parser:
     ):
         p = pfp_sub.add_parser(name, parents=[common], help=text)
         with_input(p)
-        p.add_argument("--max-stages", type=int, default=10_000)
+        p.add_argument("--max-stages", type=int, default=10_000,
+                       help="stage cap of the induction, and step limit of the run before it")
         p.set_defaults(func=func)
 
     sym = sub.add_parser("symmetry", help="supports, fragments, forms, In/Eq tables")

@@ -33,6 +33,18 @@ evaluation without guards or a universe, of a dynamic atom whose name
 has no table, or of a row atom outside its operator, is an error when
 reached, not a silent wrong answer.  The same evaluator handles explicit
 fixed-point operators in sentences over pure set structures.
+
+The innermost shapes compile to a single closure each, so that a stage
+of a fixed-point operator costs at most one closure call per row probe:
+- a row atom over bound variables, and an equation between a bound
+  variable and true, false or emptyset, read the binding directly;
+- a block whose first guard is a certain membership guard "v in t"
+  evaluates t and binds v to each element itself; when t is a bound
+  variable and the rest of the block is the row atom R(v), it probes R
+  with each element and binds nothing;
+- the stage loop binds the operator's last variable once per object.
+Guard order, the lazy compilation of only the parts evaluation reaches,
+and errors raised only when reached are as for the generic closures.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from cpspace.hf import ObjId, Universe
@@ -298,6 +310,13 @@ def value_formula(term: Term, var: str, sig: Signature, fresh: FreshNames) -> Fo
     """A formula stating that `term` evaluates to the value of `var`."""
     if not term_contains_dynamic(term, sig):
         return TermEq(Variable(var), term)
+    return _dynamic_value(term, var, sig, fresh)
+
+
+def _dynamic_value(term: Term, var: str, sig: Signature, fresh: FreshNames) -> Formula:
+    """`value_formula` of a term known to contain a dynamic name: each
+    argument is tested once, and a dynamic one flattened without testing
+    it again."""
     if isinstance(term, Comprehension):
         raise UnsupportedRule(
             "a dynamic name under a comprehension binder has no first-order value formula")
@@ -308,7 +327,7 @@ def value_formula(term: Term, var: str, sig: Signature, fresh: FreshNames) -> Fo
     for a in term.args:
         if term_contains_dynamic(a, sig):
             wa = fresh.make("_tnf")
-            wrapped.append((wa, value_formula(a, wa, sig, fresh)))
+            wrapped.append((wa, _dynamic_value(a, wa, sig, fresh)))
             new_args.append(Variable(wa))
         else:
             new_args.append(a)
@@ -327,19 +346,20 @@ def bool_formula(term: Term, sig: Signature, fresh: FreshNames) -> Formula:
         return TermEq(term, TRUE_TERM)
     w = fresh.make("_tnf")
     return mk_exists(w, mk_and([
-        value_formula(term, w, sig, fresh),
+        _dynamic_value(term, w, sig, fresh),
         TermEq(Variable(w), TRUE_TERM),
     ]))
 
 
 def eq_formula(left: Term, right: Term, sig: Signature, fresh: FreshNames) -> Formula:
     """val(left) = val(right), flattening either side if it is dynamic."""
-    if not term_contains_dynamic(left, sig) and not term_contains_dynamic(right, sig):
+    dynamic = [term_contains_dynamic(t, sig) for t in (left, right)]
+    if not any(dynamic):
         return mk_eq(left, right)
     w = fresh.make("_tnf")
     return mk_exists(w, mk_and([
-        value_formula(left, w, sig, fresh),
-        value_formula(right, w, sig, fresh),
+        _dynamic_value(t, w, sig, fresh) if dyn else TermEq(Variable(w), t)
+        for t, dyn in zip((left, right), dynamic)
     ]))
 
 
@@ -376,7 +396,7 @@ def _upd_member(
         w = fresh.make("_tnf")
         inner = mk_exists(rule.var, mk_and([Member(Variable(rule.var), Variable(w)), body]))
         return mk_exists(w, mk_and([
-            value_formula(rule.source, w, sig, fresh), inner]))
+            _dynamic_value(rule.source, w, sig, fresh), inner]))
     raise TypeError(f"not a rule: {rule!r}")
 
 
@@ -553,9 +573,6 @@ def _false(run):
     return False
 
 
-_one, _empty = attrgetter("one"), attrgetter("empty")
-
-
 def _table(run, name: str) -> dict:
     tbl = run.tables.get(name)
     if tbl is None:
@@ -563,25 +580,44 @@ def _table(run, name: str) -> dict:
     return tbl
 
 
+# the constants a plan reads from the run, not through `eval_term`
+_CONSTANTS = {"true": "one", "false": "empty", "emptyset": "empty"}
+
+
+def _constant(t: Term):
+    """The `_Run` attribute holding t's value, if t is a constant."""
+    return _CONSTANTS.get(t.name) if isinstance(t, Apply) else None
+
+
+def _bound_names(terms: tuple[Term, ...], bound: frozenset):
+    """The terms' names if every one is a bound variable, else None."""
+    if all(isinstance(t, Variable) and t.name in bound for t in terms):
+        return tuple(t.name for t in terms)
+    return None
+
+
 def _term(t: Term, bound: frozenset):
     """Bound variables and true/false/emptyset are read directly; every
     other term goes through `eval_term`."""
-    if isinstance(t, Variable) and t.name in bound:
+    if _bound_names((t,), bound):
         name = t.name
         return lambda run: run.binding[name]
-    if isinstance(t, Apply) and t.name == "true":
-        return _one
-    if isinstance(t, Apply) and t.name in ("false", "emptyset"):
-        return _empty
+    if attr := _constant(t):
+        return attrgetter(attr)
     return lambda run: eval_term(run.state, t, run.binding)
 
 
 def _terms(terms: tuple[Term, ...], bound: frozenset):
-    """The tuple of the terms' values."""
+    """The tuple of the terms' values; bound variables are read from the
+    binding in one step."""
+    names = _bound_names(terms, bound)
+    if names and len(names) == 1:
+        (name,) = names
+        return lambda run: (run.binding[name],)
+    if names:
+        get = itemgetter(*names)
+        return lambda run: get(run.binding)
     plans = [_term(t, bound) for t in terms]
-    if len(plans) == 1:
-        (only,) = plans
-        return lambda run: (only(run),)
     return lambda run: tuple([t(run) for t in plans])
 
 
@@ -599,6 +635,10 @@ def _compile(phi: Formula, shape: _Shape):
     if isinstance(phi, Or):
         return _any([_Deferred(_plan, p, shape) for p in phi.parts])
     if isinstance(phi, TermEq):
+        for var, other in ((phi.left, phi.right), (phi.right, phi.left)):
+            if _bound_names((var,), bound) and (attr := _constant(other)):
+                name, const = var.name, attrgetter(attr)
+                return lambda run: run.binding[name] == const(run)
         left, right = _term(phi.left, bound), _term(phi.right, bound)
         return lambda run: left(run) == right(run)
     if isinstance(phi, Member):
@@ -608,13 +648,19 @@ def _compile(phi: Formula, shape: _Shape):
         name, value, args = phi.name, _term(phi.value, bound), _terms(phi.args, bound)
         return lambda run: _table(run, name).get(args(run), run.empty) == value(run)
     if isinstance(phi, ResAtom):
-        name, args = phi.name, _terms(phi.args, bound)
-        if name in shape.rels:
-            return lambda run: args(run) in run.rels[name]
-
-        def outside(run):
-            raise FormulaError(f"row atom of {name!r} outside a fixed-point operator over it")
-        return outside
+        name, names = phi.name, _bound_names(phi.args, bound)
+        if name not in shape.rels:
+            def outside(run):
+                raise FormulaError(f"row atom of {name!r} outside a fixed-point operator over it")
+            return outside
+        if names and len(names) == 1:
+            (x,) = names
+            return lambda run: (run.binding[x],) in run.rels[name]
+        if names:
+            get = itemgetter(*names)
+            return lambda run: get(run.binding) in run.rels[name]
+        args = _terms(phi.args, bound)
+        return lambda run: args(run) in run.rels[name]
     if isinstance(phi, Exists):
         return _exists(phi.var, phi.body, shape)
     if isinstance(phi, PFPOp):
@@ -711,9 +757,13 @@ def _block(queue: tuple[str, ...], conjuncts: tuple[Formula, ...], shape: _Shape
             # mentions no later block variable, as no block variable is in
             # shape.bound: it need not be tested again
             inner = conjuncts[:idx] + conjuncts[idx + 1:]
-        attempts.append((v, guard, _Deferred(_block, rest, inner, shape.bind(v))))
+        sub = _Deferred(_block, rest, inner, shape.bind(v))
+        attempts.append((v, guard, sub))
         if certain:
             fallback = _Deferred(_block, queue, conjuncts, shape, skip + len(attempts))
+            if len(attempts) == 1 and isinstance(c, Member):
+                return (_row_probe(v, c.container, rest, inner, shape)
+                        or _member_block(v, _term(c.container, shape.bound), sub, fallback))
             break
     else:
         if not attempts:
@@ -727,6 +777,53 @@ def _block(queue: tuple[str, ...], conjuncts: tuple[Formula, ...], shape: _Shape
                 return _any_binding(run, v, candidates, sub.plan or sub.get())
         return (fallback.plan or fallback.get())(run)
     return block
+
+
+def _row_probe(var: str, container: Term, rest, inner, shape: _Shape):
+    """The plan of "exists var (var in x and R(var))", for a bound x and
+    an iterated R: whether some element of x is a row of R, binding
+    nothing.  None for any other block."""
+    if rest or len(inner) != 1 or not _bound_names((container,), shape.bound):
+        return None
+    (row,) = inner
+    if not (isinstance(row, ResAtom) and row.args == (Variable(var),) and row.name in shape.rels):
+        return None
+    source, name = container.name, row.name
+
+    def row_probe(run):
+        rel = run.rels[name]
+        for cand in run.elements(run.binding[source]):
+            if (cand,) in rel:
+                return True
+        return False
+    return row_probe
+
+
+def _member_block(var: str, container, sub: _Deferred, fallback: _Deferred):
+    """The block plan when its first attempt is the certain guard "var in
+    container": var ranges over the container's elements, bound in place
+    as `_any_binding` binds it, and a container that fails to evaluate
+    passes the block to the fallback, as a guard yielding None does."""
+    def member_block(run):
+        try:
+            src = container(run)
+        except MachineError:
+            return (fallback.plan or fallback.get())(run)
+        plan = sub.plan or sub.get()
+        binding = run.binding
+        saved = binding.get(var, _MISSING)
+        try:
+            for cand in run.elements(src):
+                binding[var] = cand
+                if plan(run):
+                    return True
+            return False
+        finally:
+            if saved is _MISSING:
+                binding.pop(var, None)
+            else:
+                binding[var] = saved
+    return member_block
 
 
 def _unguarded(queue, conjuncts, shape):
@@ -848,12 +945,7 @@ def _pfp_op(phi: PFPOp, shape: _Shape):
         seen = {current}
         while True:
             rels[rel] = current
-            new = set()
-            for tup in itertools.product(run.objects, repeat=len(names)):
-                sub.binding.update(zip(names, tup))
-                if body(sub):
-                    new.add(tup)
-            new = frozenset(new)
+            new = frozenset(_satisfying(body, sub, names))
             if new == current:
                 break
             if new in seen:
@@ -863,6 +955,24 @@ def _pfp_op(phi: PFPOp, shape: _Shape):
             current = new
         return args(run) in new
     return pfp
+
+
+def _satisfying(plan, run: _Run, names: tuple[str, ...]):
+    """Each tuple over run.objects, in product order, for which plan holds
+    with names bound to it in run.binding.  All names but the last are
+    bound once per prefix, and the last once per object."""
+    if not names:
+        if plan(run):
+            yield ()
+        return
+    binding, objects = run.binding, run.objects
+    *outer, last = names
+    for head in itertools.product(objects, repeat=len(outer)):
+        binding.update(zip(outer, head))
+        for obj in objects:
+            binding[last] = obj
+            if plan(run):
+                yield (*head, obj)
 
 
 # -- stage iteration ---------------------------------------------------------------------
@@ -929,16 +1039,12 @@ def iterate_stages(
         for sb, plan in bodies:
             tbl: dict = {}
             run = _Run(term_state, {}, tables, objects, None)
-            binding = run.binding
-            for args in itertools.product(objects, repeat=len(sb.arg_vars)):
-                binding.update(zip(sb.arg_vars, args))
-                for y in objects:
-                    binding[sb.val_var] = y
-                    if plan(run):
-                        if args in tbl:
-                            raise FormulaError(
-                                f"stage body for {sb.name!r} related one location to two values")
-                        tbl[args] = y
+            for row in _satisfying(plan, run, sb.arg_vars + (sb.val_var,)):
+                args, y = row[:-1], row[-1]
+                if args in tbl:
+                    raise FormulaError(
+                        f"stage body for {sb.name!r} related one location to two values")
+                tbl[args] = y
             new[sb.name] = tbl
         stages.append(new)
         if new == tables:
@@ -957,16 +1063,18 @@ def decide(
     inp: InputStructure,
     max_stages: int = 10_000,
 ) -> tuple[str, StageResult, RunTrace]:
-    """Space-bounded run, then the induction over its active objects.
+    """A run of at most max_stages steps, then the induction over its
+    active objects.
 
-    A run cut off at its space bound leaves the induction a truncated
-    domain, so its verdict is unknown whatever the stages reach.
+    A run cut off at its space bound or at the step limit leaves the
+    induction a truncated domain, so its verdict is unknown whatever the
+    stages reach.
     """
-    trace = run(machine, inp)
+    trace = run(machine, inp, max_stages)
     universe = trace.final_state.universe
     objects = sorted(trace.active_union())
     result = iterate_stages(machine.program, inp, objects, universe, max_stages)
-    if trace.outcome is RunOutcome.SPACE_EXCEEDED:
+    if trace.outcome in (RunOutcome.SPACE_EXCEEDED, RunOutcome.STEP_LIMIT):
         return "unknown", result, trace
     return result.verdict(universe), result, trace
 

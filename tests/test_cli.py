@@ -265,6 +265,19 @@ class TestPfp:
         assert code == 3
         assert out.startswith("verdict unknown status=fixed stages=3 run=space-exceeded")
 
+    def test_eval_bounds_the_run_by_max_stages(self):
+        # deep.machine neither halts nor outgrows its space bound, so only
+        # the step limit that --max-stages sets ends the run before the
+        # induction
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpspace.cli", "pfp", "eval",
+             str(FIXTURES / "deep.machine"), "--naked-set", "3", "--max-stages", "4",
+             "--no-meta"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == "verdict unknown status=stage-cap stages=5 run=step-limit\n"
+
     def test_lockstep_reports_identical_stages(self, capsys):
         code, out, _ = cli(capsys, "pfp", "lockstep", FIXTURES / "mark_all.machine",
                            "--input", FIXTURES / "edges.input", "--no-meta")

@@ -1,5 +1,6 @@
 """Update-formula extraction, evaluation, and stage iteration tests."""
 
+import contextlib
 import gc
 import itertools
 import random
@@ -337,6 +338,18 @@ class TestStageIteration:
         assert result.verdict(trace.final_state.universe) == "accept"
         assert verdict == "unknown"
 
+    def test_step_limited_run_is_unknown(self):
+        # deep never halts and stays inside its space bound: the run stops
+        # at max_stages steps, and the induction over its objects cannot
+        # decide
+        machine = load_machine(FIXTURES / "deep.machine")
+        verdict, result, trace = decide(machine, make_input(3), max_stages=4)
+        assert trace.outcome is RunOutcome.STEP_LIMIT and trace.steps == 4
+        assert result.status == "stage-cap" and len(result.stages) == 5
+        assert verdict == "unknown"
+        # the domain of the truncated run still gives its stages up to the cut
+        assert lockstep_prefix(result, trace) == (True, 5)
+
     def test_mark_all_matches_final_state(self):
         machine = load_machine(FIXTURES / "mark_all.machine")
         inp = parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8"))
@@ -403,6 +416,16 @@ class TestGoldenExtraction:
         p = prog("forall v in Atoms do if E(v, v) then m(v) := true endif enddo",
                  header="signature:\n  input E/2\n  dynamic m/1 relational\n")
         self.golden_check(p, "m", "mark_diag_upd_state.sexpr")
+
+
+def subformulas(phi):
+    """phi and every formula under it."""
+    yield phi
+    if isinstance(phi, (Not, Exists, PFPOp)):
+        yield from subformulas(phi.body)
+    elif isinstance(phi, (And, Or)):
+        for part in phi.parts:
+            yield from subformulas(part)
 
 
 def quantifier_depth(phi) -> int:
@@ -578,6 +601,96 @@ class TestAgainstTarski:
                     phi, state, {"p": probe}, objs, {})
 
 
+def fused_shape_formulas():
+    """(label, formula) over free p and q, each exercising a shape that
+    compiles to a single closure, in the settings where it must agree
+    with the generic plans."""
+    p, q, x, y, z, w = (Variable(v) for v in "pqxyzw")
+    zero, bad = Apply("emptyset"), Apply("nope", (q,))
+    grounded = mk_or([TermEq(x, zero), mk_exists("y", mk_and([Member(y, x), ResAtom("D", (y,))]))])
+    return [
+        ("a membership guard over a free variable",
+         mk_exists("x", mk_and([Member(x, q), mk_not(TermEq(x, zero)),
+                                mk_exists("y", mk_and([Member(y, x), TermEq(y, p)]))]))),
+        ("the transitive closure of membership",
+         PFPOp("T", ("x", "y"), mk_or([
+             Member(x, y),
+             mk_exists("z", mk_and([Member(z, y), ResAtom("T", (x, z))]))]), (p, q))),
+        ("a row atom with a repeated variable",
+         PFPOp("S", ("x", "y"), mk_or([
+             mk_and([TermEq(x, zero), TermEq(y, zero)]),
+             mk_exists("w", mk_and([Member(w, y), ResAtom("S", (w, w))])),
+             mk_and([Member(x, y), ResAtom("S", (y, y))])]), (p, q))),
+        ("a row atom with a compound argument",
+         PFPOp("D", ("x",), mk_or([
+             TermEq(x, zero),
+             ResAtom("D", (Apply("Union", (x,)),)),
+             mk_exists("y", mk_and([Member(y, x), ResAtom("D", (Apply("Pair", (y, q)),))]))]),
+             (p,))),
+        ("a membership guard over a compound container",
+         PFPOp("D", ("x",), mk_or([
+             TermEq(x, zero),
+             mk_exists("y", mk_and([Member(y, Apply("Union", (x,))), ResAtom("D", (y,))]))]),
+             (p,))),
+        ("a binary row atom with a compound argument",
+         PFPOp("T", ("x", "y"), mk_or([
+             TermEq(x, y),
+             mk_exists("z", mk_and([Member(z, y), ResAtom("T", (x, Apply("Union", (z,))))]))]),
+             (p, q))),
+        ("a nested operator whose body reads the outer relation",
+         PFPOp("D", ("x",), mk_or([
+             TermEq(x, zero),
+             PFPOp("E", ("y",), mk_or([
+                 mk_exists("w", mk_and([Member(w, y), ResAtom("D", (w,))])),
+                 mk_exists("w", mk_and([Member(w, y), ResAtom("E", (w,))]))]), (x,))]), (p,))),
+        ("a block variable that shadows the operator's variable",
+         PFPOp("D", ("x",), mk_or([
+             TermEq(x, zero),
+             mk_exists("x", mk_and([Member(x, q), ResAtom("D", (x,))]))]), (p,))),
+        ("a block variable that shadows a free variable",
+         mk_exists("p", mk_and([Member(p, q), mk_not(TermEq(p, zero)),
+                                PFPOp("D", ("x",), grounded, (p,))]))),
+        ("a failing container: the fallback guard is tried, and reaches it",
+         mk_exists("x", mk_and([Member(x, bad), TermEq(x, p)]))),
+        # the brute-force reading stops at the first false conjunct, so
+        # these put it first: evaluated, the container would raise
+        ("a failing container: the fallback guard finds a false conjunct",
+         mk_exists("x", And((FALSEF, Member(x, bad), TermEq(x, p))))),
+        ("a failing container: the fallback enumerates the objects",
+         PFPOp("D", ("y",), mk_not(mk_exists("x", And((FALSEF, Member(x, bad))))), (p,))),
+    ]
+
+
+class TestFusedShapes:
+    """Bound-variable rows and equations, membership-guarded blocks and
+    the stage loop of a fixed-point operator each compile to one closure;
+    they agree with the brute-force reading in tests/tarski.py."""
+
+    @pytest.mark.parametrize("label,phi", fused_shape_formulas(),
+                             ids=[label for label, _ in fused_shape_formulas()])
+    def test_against_tarski(self, label, phi):
+        state = initial_state(prog("skip"), make_input(2))
+        u = state.universe
+        # closed under membership, so that a membership guard offers only
+        # objects the brute-force quantifiers also range over
+        objects = [u.empty, u.one, u.mk_set([u.one]), u.atom(0), u.atom(1),
+                   u.mk_set([u.atom(0), u.one]), u.mk_set([u.empty, u.mk_set([u.one])])]
+
+        def outcome(evaluate):
+            try:
+                return evaluate()
+            except MachineError:
+                return MachineError
+
+        for pv, qv in itertools.product(objects, repeat=2):
+            binding = {"p": pv, "q": qv}
+            env = Env(state, dict(binding), tables={}, objects=objects)
+            got = outcome(lambda: eval_formula(phi, env))
+            assert got == outcome(lambda: tarski.holds(phi, state, binding, objects, {})), (
+                label, binding)
+            assert env.binding == binding
+
+
 class TestPlans:
     """A formula compiles once per shape of environment: the binding
     names and the fixed-point relations being iterated."""
@@ -649,6 +762,13 @@ class TestPlans:
             eval_formula(row, Env(state, {}, tables={"e": {(): u.one}}))
         with pytest.raises(FormulaError, match="row atom of 'e' outside"):
             eval_formula(row, Env(state, {}, tables={"e": {(): u.one}}, objects=[u.empty]))
+        # a block variable that nothing guards needs the object universe,
+        # also beside a membership guard and a row atom
+        y = Variable("y")
+        vacuous = Exists("y", Exists("z", And((Member(y, Variable("x")), ResAtom("e", (y,))))))
+        with pytest.raises(FormulaError, match="no guard and no object universe"):
+            eval_formula(vacuous, Env(state, {"x": u.one}, pfp_rels={"e": set()}))
+        assert not eval_formula(vacuous, Env(state, {"x": u.empty}, pfp_rels={"e": set()}))
 
     def test_plans_live_only_as_long_as_their_formulas(self):
         # reference counting alone frees each formula with its plans: no
@@ -664,6 +784,19 @@ class TestPlans:
                     TermEq(Variable("v"), Variable(f"w{i}"))]))
                 assert eval_formula(phi, Env(state, {f"w{i}": u.atom(i % 3)}))
                 refs.append(weakref.ref(phi))
+            # the fused shapes: a membership-guarded block, bound-variable
+            # rows and equations, and the stage loop of an operator
+            # and so do the closures planned for every node
+            objects = [u.empty, u.one, u.mk_set([u.one]), u.atom(0)]
+            for pv, qv in itertools.product(objects, repeat=2):
+                for _label, phi in fused_shape_formulas():
+                    env = Env(state, {"p": pv, "q": qv}, tables={}, objects=objects)
+                    with contextlib.suppress(MachineError):
+                        eval_formula(phi, env)
+                    refs.append(weakref.ref(phi))
+                    refs.extend(weakref.ref(plan) for node in subformulas(phi)
+                                for plan in getattr(node, "_plans", {}).values()
+                                if plan.__closure__)
             del phi
             assert [r for r in refs if r() is not None] == []
         finally:
