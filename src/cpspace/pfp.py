@@ -42,7 +42,8 @@ of a fixed-point operator costs at most one closure call per row probe:
   evaluates t and binds v to each element itself; when t is a bound
   variable and the rest of the block is the row atom R(v), it probes R
   with each element and binds nothing;
-- the stage loop binds the operator's last variable once per object.
+- the stage loop, which a fixed-point operator shares with
+  `iterate_stages`, binds the last variable once per object.
 Guard order, the lazy compilation of only the parts evaluation reaches,
 and errors raised only when reached are as for the generic closures.
 """

@@ -784,9 +784,9 @@ class TestPlans:
                     TermEq(Variable("v"), Variable(f"w{i}"))]))
                 assert eval_formula(phi, Env(state, {f"w{i}": u.atom(i % 3)}))
                 refs.append(weakref.ref(phi))
-            # the fused shapes: a membership-guarded block, bound-variable
-            # rows and equations, and the stage loop of an operator
-            # and so do the closures planned for every node
+            # so do the fused shapes: membership-guarded blocks, bound-variable
+            # rows and equations and the stage loop of an operator, and the
+            # closures planned for every node under them
             objects = [u.empty, u.one, u.mk_set([u.one]), u.atom(0)]
             for pv, qv in itertools.product(objects, repeat=2):
                 for _label, phi in fused_shape_formulas():
