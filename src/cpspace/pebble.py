@@ -37,11 +37,18 @@ costs the responder's probes and three comparisons per placed pair.
 `partial_iso` is the definition, with one path: the verifier calls it
 to word a violation the compiled check found, and `GameSession` checks
 every position with it.
+
+The solver reads membership as bitmasks over board indices (`_Board`),
+made only for the objects in a constraint.  A spoiler object's answers
+depend only on how it stands to each constrained object, so a position
+splits the board into classes (`_classes`), one answer mask each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import repeat
 from typing import NamedTuple
 
 from .hf import ObjId, Universe
@@ -493,66 +500,82 @@ class SolveResult:
 
 
 class _Board:
-    """Membership tables for one structure: sparse member and container
-    index lists, and bitmasks over board indices for the objects that
-    appear in a constraint, built when first asked for and kept."""
+    """Bitmasks over board indices of the members (`elem`) and the
+    containers (`cont`) of the objects in a constraint, built when first
+    asked for and kept.  Membership is among the board's own objects, as
+    in `_compiled_check`."""
 
     def __init__(self, s: GameStructure):
-        self.size = len(s.objects)
+        u, objects, index = s.universe, s.objects, s._index
+        self.size = len(objects)
         self.full = (1 << self.size) - 1
-        u = s.universe
-        index = s.index
-        self.members = [tuple(map(index, u.elements(x))) for x in s.objects]
-        containers: list[list[int]] = [[] for _ in s.objects]
-        for i, kids in enumerate(self.members):
-            for j in kids:
-                containers[j].append(i)
-        self.containers = containers
-        self._elem: dict[int, int] = {}
-        self._cont: dict[int, int] = {}
-        self.empty = s.index(u.empty)
-        self.one = s.index(u.one) if u.one in s else None
+        self.pins = (index.get(u.empty), index.get(u.one))
 
-    def elem(self, i: int) -> int:
-        """Bits of the members of object i."""
-        mask = self._elem.get(i)
-        if mask is None:
-            mask = self._elem[i] = _bits(self.members[i])
-        return mask
+        def elem(i: int) -> int:
+            return sum(1 << index[e] for e in u.elements(objects[i]) if e in index)
 
-    def cont(self, i: int) -> int:
-        """Bits of the objects containing object i."""
-        mask = self._cont.get(i)
-        if mask is None:
-            mask = self._cont[i] = _bits(self.containers[i])
-        return mask
+        def cont(i: int) -> int:
+            # one scan of the board: a flag byte per object, as a digit
+            flags = bytes(map(u.contains, objects, repeat(objects[i])))
+            return int(flags.translate(_DIGITS)[::-1], 2)
+
+        self.elem, self.cont = cache(elem), cache(cont)
 
 
-def _bits(indices) -> int:
-    mask = 0
-    for j in indices:
-        mask |= 1 << j
-    return mask
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _response_mask(home: _Board, other: _Board, x0: int, pairs) -> int:
     """Bits of the other side's objects compatible with all constraints.
 
     Each constraint pair (h, o) demands the three biconditionals of the
-    partial-isomorphism condition between (x0, h) and (answer, o).
+    partial-isomorphism condition between (x0, h) and (answer, o): the
+    answer is o, a member of o, a container of o or none of these as x0
+    is to h (membership is well-founded, so at most one case holds).
     """
     mask = other.full
     for h, o in pairs:
-        bit = 1 << o
         if x0 == h:
-            mask &= bit
+            mask &= 1 << o
+        elif home.elem(h) >> x0 & 1:
+            mask &= other.elem(o)
+        elif home.cont(h) >> x0 & 1:
+            mask &= other.cont(o)
         else:
-            mask &= ~bit
-        mask &= other.elem(o) if home.elem(h) >> x0 & 1 else ~other.elem(o)
-        mask &= other.cont(o) if home.cont(h) >> x0 & 1 else ~other.cont(o)
+            mask &= ~(1 << o | other.elem(o) | other.cont(o))
         if not mask:
             return 0
     return mask
+
+
+def _classes(home: _Board, pairs) -> list[int]:
+    """The home board split by the tests of `_response_mask`: how an
+    object stands to each constraint's home object.  The objects of a
+    class share their mask.  Classes come as bits, by lowest member.
+    """
+    parts = [home.full]
+    for h in dict.fromkeys(h for h, _ in pairs):
+        sieve = (1 << h, home.elem(h), home.cont(h))
+        split = []
+        for part in parts:
+            for bits in sieve:
+                piece = part & bits
+                if piece:
+                    split.append(piece)
+                    part ^= piece
+            if part:
+                split.append(part)
+        parts = split
+    parts.sort(key=lambda part: part & -part)
+    return parts
+
+
+def _members(bits: int):
+    """The indices of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
 
 def solve_game(
@@ -568,16 +591,19 @@ def solve_game(
 
     Dropping a placed pair only widens the duplicator's options, so the
     spoiler overwrites a pebble only when all m are placed.
+
+    The spoiler tries the home board's objects in index order, each a
+    node, until one wins, reading each object's answers from its class.
+    On the last move the spoiler wins iff some class has no answer, and
+    the walk's nodes are counted without making it.
     """
     cap = _compatible(a, b, m, depth, node_budget)
     board_a, board_b = _Board(a), _Board(b)
-    if board_a.one is None or board_b.one is None:
+    if None in board_a.pins + board_b.pins:
         raise PebbleError("game structures must contain 0 and 1")
-    pins_ab = ((board_a.empty, board_b.empty), (board_a.one, board_b.one))
-    pins_ba = tuple((y, x) for x, y in pins_ab)
     sides = (
-        (board_a, board_b, pins_ab, False),
-        (board_b, board_a, pins_ba, True),
+        (board_a, board_b, tuple(zip(board_a.pins, board_b.pins)), False),
+        (board_b, board_a, tuple(zip(board_b.pins, board_a.pins)), True),
     )
     memo: dict = {}
     nodes = 0
@@ -606,30 +632,37 @@ def solve_game(
                 constraints = pins + tuple(
                     ((y, x) if flipped else (x, y)) for x, y in kept
                 )
-                for x0 in range(home.size):
+                # the walk ends at the lowest object of a class with no
+                # answer, so the classes past it are not read
+                by_object, stop = [0] * home.size, home.size
+                for part in _classes(home, constraints):
+                    low = (part & -part).bit_length() - 1
+                    mask = _response_mask(home, other, low, constraints)
+                    if not mask:
+                        stop = low
+                        break
+                    if depth_left > 1:
+                        for x0 in _members(part):
+                            by_object[x0] = mask
+                if depth_left == 1:
+                    nodes += min(stop + 1, home.size)
+                    if nodes > cap:
+                        raise BudgetExceeded(
+                            f"game solving exceeded {cap} nodes"
+                        )
+                    result = stop < home.size
+                    continue
+                for x0, mask in enumerate(by_object):
                     nodes += 1
                     if nodes > cap:
                         raise BudgetExceeded(
                             f"game solving exceeded {cap} nodes"
                         )
-                    mask = _response_mask(home, other, x0, constraints)
-                    if mask == 0:
-                        result = True
-                        break
-                    if depth_left == 1:
-                        continue
-                    survived = False
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        y0 = low.bit_length() - 1
+                    for y0 in _members(mask):
                         pair = (y0, x0) if flipped else (x0, y0)
-                        nxt = tuple(sorted(kept + (pair,)))
-                        if not wins(nxt, depth_left - 1):
-                            survived = True
+                        if not wins(tuple(sorted(kept + (pair,))), depth_left - 1):
                             break
-                    if not survived:
+                    else:  # no answer survives, none at all when mask is 0
                         result = True
                         break
         memo[key] = result

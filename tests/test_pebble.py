@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import games
+
 from cpspace import pebble
 from cpspace.hf import Universe
 from cpspace.pebble import (
@@ -26,6 +28,27 @@ from cpspace.symmetry import BudgetExceeded, build_fragment, form_apply, form_of
 
 def struct(n, k, r):
     return GameStructure.from_fragment(build_fragment(n, k, r))
+
+
+def cut(spec, *literals):
+    # a fragment board without the given objects, built unchecked
+    frag = build_fragment(*spec)
+    u = frag.universe
+    gone = {u.parse_literal(text) for text in literals}
+    kept = tuple(x for x in frag.objects if x not in gone)
+    return GameStructure(u, kept, frag.k, frag.r, strict=False)
+
+
+def cut_cases():
+    # unchecked boards: an atom missing, so sets lose an element on the
+    # board; boards whose first violation under the form strategy is a
+    # membership, met by a spoiler on A and on B
+    return [
+        (cut((3, 2, 1), "a0"), struct(2, 2, 1), 2, 2),
+        (cut((3, 2, 1), "{a0, a1}", "{a0, a1, 0}"), struct(2, 2, 1), 2, 3),
+        (struct(2, 2, 1), cut((4, 2, 1), "{a0, a1, a2}", "{a0, a1, a2, 0}",
+                              "{a0, a1, a3}", "{a0, a1, a3, 0}"), 2, 3),
+    ]
 
 
 class TestGameStructure:
@@ -261,14 +284,6 @@ class TestVerifyDuplicator:
         # and all placed pairs, with the placed pairs rebuilt from the
         # state's forms and molecules (and equal to the objects the state
         # records), and a rejected move must report the definition's text
-        def cut(spec, *literals):
-            # a fragment board without the given objects, built unchecked
-            frag = build_fragment(*spec)
-            u = frag.universe
-            gone = {u.parse_literal(text) for text in literals}
-            kept = tuple(x for x in frag.objects if x not in gone)
-            return GameStructure(u, kept, frag.k, frag.r, strict=False)
-
         cases = [
             # the counterexamples of the pinned counts, both orders
             (struct(2, 1, 1), struct(3, 1, 1), 3, 3),
@@ -278,13 +293,7 @@ class TestVerifyDuplicator:
             (struct(3, 1, 1), struct(4, 1, 1), 2, 2),
             # the answer breaks a pin: 0 against {a0, a1}
             (struct(2, 2, 1), struct(3, 2, 1), 2, 2),
-            # unchecked boards: an atom missing, so sets lose an element
-            # on the board; boards whose first violation is a membership,
-            # met by a spoiler on A and on B
-            (cut((3, 2, 1), "a0"), struct(2, 2, 1), 2, 2),
-            (cut((3, 2, 1), "{a0, a1}", "{a0, a1, 0}"), struct(2, 2, 1), 2, 3),
-            (struct(2, 2, 1), cut((4, 2, 1), "{a0, a1, a2}", "{a0, a1, a2, 0}",
-                                  "{a0, a1, a3}", "{a0, a1, a3, 0}"), 2, 3),
+        ] + cut_cases() + [
             # the answer to 1 is off the board: the last move is unchecked
             (struct(2, 1, 1), cut((2, 1, 1), "1"), 3, 2),
         ]
@@ -491,6 +500,96 @@ class TestSolveGame:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSolveAgainstDefinition:
+    """`solve_game` against `tests/games.py`, the game solved one spoiler
+    object at a time: the same verdict and the same node count."""
+
+    # (k, atoms of A, atoms of B, m, depth) where the definition takes
+    # more than about a second: 420k to 5.8M nodes, where the cases run
+    # count at most 361k
+    SLOW = {
+        (2, 2, 5, 2, 3), (2, 3, 5, 2, 3), (2, 3, 5, 3, 3), (2, 4, 4, 2, 3),
+        (2, 4, 4, 3, 3), (2, 4, 5, 2, 3), (2, 4, 5, 3, 3), (2, 5, 2, 2, 3),
+        (2, 5, 3, 2, 3), (2, 5, 3, 3, 3), (2, 5, 4, 2, 3), (2, 5, 4, 3, 3),
+        (2, 5, 5, 2, 3), (2, 5, 5, 3, 3),
+    }
+
+    @pytest.fixture(scope="class")
+    def rank2(self):
+        return struct(2, 1, 2), struct(3, 1, 2)
+
+    @staticmethod
+    def solved(a, b, m, depth, **budget):
+        result = solve_game(a, b, m, depth, **budget)
+        return result.spoiler_wins, result.nodes
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("na,nb", list(itertools.product(range(2, 6), repeat=2)))
+    def test_rank_one_fragments(self, k, na, nb):
+        a, b = struct(na, k, 1), struct(nb, k, 1)
+        for m, depth in itertools.product(range(1, 4), range(4)):
+            if (k, na, nb, m, depth) not in self.SLOW:
+                assert self.solved(a, b, m, depth) == games.solve(a, b, m, depth), (m, depth)
+
+    def test_rank_two_fragments(self, rank2):
+        small, large = rank2
+        for a, b in ((small, small), (small, large)):
+            assert self.solved(a, b, 1, 1) == games.solve(a, b, 1, 1)
+
+    def test_boards_that_are_not_element_closed(self):
+        # membership is that of the board's own objects: {{1}} without
+        # {1} has no members on the board, and neither have the sets
+        # that lost a0
+        u = Universe(2)
+        deep = u.mk_set([u.mk_set([u.one])])
+        lone = GameStructure(u, (u.empty, u.one, deep) + tuple(u.atoms()), 1, strict=False)
+        for a, b, m, depth in [(lone, lone, 1, 1), (lone, struct(2, 1, 1), 2, 2)] + cut_cases():
+            assert self.solved(a, b, m, depth) == games.solve(a, b, m, depth)
+        assert verify_duplicator(lone, lone, 1, 1).survived
+        assert solve_game(lone, lone, 1, 1).duplicator_survives
+        with pytest.raises(PebbleError, match="0 and 1"):
+            solve_game(struct(2, 1, 1), cut((2, 1, 1), "1"), 3, 2)
+
+    def test_only_the_last_object_wins(self):
+        # {a0, 0} has no answer on B, and it is the last object of A
+        u = Universe(2)
+        a0, a1 = u.atoms()
+        base = (a0, a1, u.empty, u.one)
+        a = GameStructure(u, base + (u.mk_set([a0, u.empty]),), 1)
+        b = GameStructure(u, base, 1)
+        assert self.solved(a, b, 1, 1) == games.solve(a, b, 1, 1) == (True, 5)
+
+    def test_budget_stops_at_the_definitions_count(self, rank2):
+        # a budget of exactly the nodes counted suffices, one fewer does
+        # not: on a last move decided by classes, and on deeper walks
+        small, large = rank2
+        for a, b, m, depth in [
+            (small, large, 1, 1),
+            (struct(2, 1, 1), struct(3, 1, 1), 3, 3),
+            (struct(3, 1, 1), struct(4, 1, 1), 2, 3),
+            cut_cases()[1],
+        ]:
+            wins, nodes = games.solve(a, b, m, depth)
+            assert self.solved(a, b, m, depth, node_budget=nodes) == (wins, nodes)
+            with pytest.raises(BudgetExceeded):
+                solve_game(a, b, m, depth, node_budget=nodes - 1)
+
+    def test_one_response_mask_per_class(self, rank2, monkeypatch):
+        # the objects of a class share their answers; one object at a
+        # time, this game takes 49,157 masks
+        calls = 0
+        mask = pebble._response_mask
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return mask(*args)
+
+        monkeypatch.setattr(pebble, "_response_mask", counted)
+        assert solve_game(*rank2, 1, 1).nodes == sum(map(len, rank2))
+        assert 0 < calls < 100
 
 
 class TestGameSession:
