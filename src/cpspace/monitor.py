@@ -16,7 +16,10 @@ only as its final state, the witness), then Halt (accept iff Output is
 can never lead anywhere new, so the run diverges), and only then the
 next step.
 An optional step budget turns very long runs into a distinct outcome
-instead of hanging.
+instead of hanging.  `run` keeps its own repeat test rather than the
+stage loop of `pfp`, because the test sits between the space and halt
+checks and the step limit, and a repeated state is recorded before it
+is tested.
 """
 
 from __future__ import annotations

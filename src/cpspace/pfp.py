@@ -15,10 +15,14 @@ would depend on the bound variable), and such rules are rejected.
 
 Layer two turns the update formulas into one induction per dynamic
 name: the next stage relates args to y when either an update fires or
-the old entry survives untouched.  Iterating from all-empty tables and
-stopping on a fixed point (a repeated non-fixed stage yields all-empty
-tables, the usual convention for partial fixed points) recovers the
-run of the machine table-for-table, without stepping states.
+the old entry survives untouched.  Iterating from all-empty tables
+recovers the run of the machine table-for-table, without stepping
+states.  `iterate_stages` and the fixed-point operator `PFPOp` share
+one stage loop, which ends "fixed" on a stage equal to the one before
+it, "cycled" on a stage that repeats an earlier one, and "stage-cap"
+after a cap on the number of stages (the operator sets none).  Only a
+fixed point gives its last stage; a cycle or the cap gives all-empty
+tables, the usual convention for partial fixed points.
 
 Dynamic atoms ("f(args) = value") read one table mapping: a live
 state's tables, or stage tables of the same shape, so one update formula
@@ -39,11 +43,11 @@ of a fixed-point operator costs at most one closure call per row probe:
 - a row atom over bound variables, and an equation between a bound
   variable and true, false or emptyset, read the binding directly;
 - a block whose first guard is a certain membership guard "v in t"
-  evaluates t and binds v to each element itself; when t is a bound
+  evaluates t and binds v to each element directly; when t is a bound
   variable and the rest of the block is the row atom R(v), it probes R
   with each element and binds nothing;
-- the stage loop, which a fixed-point operator shares with
-  `iterate_stages`, binds the last variable once per object.
+- each stage of the one stage loop, which a fixed-point operator shares
+  with `iterate_stages`, binds the last variable once per object.
 Guard order, the lazy compilation of only the parts evaluation reaches,
 and errors raised only when reached are as for the generic closures.
 """
@@ -51,7 +55,7 @@ and errors raised only when reached are as for the generic closures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -494,29 +498,35 @@ def update_formula(program: Program, fname: str) -> UpdateFormula:
 # -- evaluation ------------------------------------------------------------------------
 
 
-@dataclass
 class Env:
-    """Evaluation context.  Terms always read `term_state`; dynamic atoms
-    (`DynEq`) read `tables`, or the tables of `term_state` when `tables`
-    is None; row atoms (`ResAtom`) read `pfp_rels`."""
+    """Evaluation context, and the record a plan reads: terms read
+    `term_state` under `binding`; dynamic atoms (`DynEq`) read `tables`,
+    the tables of `term_state` when None is passed; row atoms (`ResAtom`)
+    read `pfp_rels`; unguarded quantifiers and fixed-point operators range
+    over `objects`; and `empty`, `one`, `contains` and `elements` are the
+    universe's, kept here so that a plan reads them in one step."""
 
-    term_state: State
-    binding: dict[str, ObjId] = field(default_factory=dict)
-    tables: dict[str, dict] | None = None
-    objects: list[ObjId] | None = None
-    pfp_rels: dict[str, set] | None = None
+    __slots__ = ("term_state", "binding", "tables", "objects", "pfp_rels",
+                 "empty", "one", "contains", "elements")
+
+    def __init__(self, term_state: State, binding: dict[str, ObjId] | None = None,
+                 tables: dict[str, dict] | None = None, objects: list[ObjId] | None = None,
+                 pfp_rels: dict[str, set] | None = None):
+        u = term_state.universe
+        self.term_state, self.objects, self.pfp_rels = term_state, objects, pfp_rels
+        self.binding = {} if binding is None else binding
+        self.tables = term_state.tables if tables is None else tables
+        self.empty, self.one, self.contains, self.elements = u.empty, u.one, u.contains, u.elements
 
 
 def eval_formula(phi: Formula, env: Env) -> bool:
     """Whether phi holds in env, by phi's plan for the shape of env."""
-    shape = _Shape(frozenset(env.binding), frozenset(env.pfp_rels or ()))
-    run = _Run(env.term_state, env.binding, env.tables, env.objects, env.pfp_rels)
-    return _plan(phi, shape)(run)
+    return _plan(phi, _Shape(frozenset(env.binding), frozenset(env.pfp_rels or ())))(env)
 
 
 # A formula compiles, once per shape of environment, into a plan: a
-# closure `plan(run) -> bool`.  The shape fixes every choice the order of
-# evaluation makes apart from values; the plan reads values from `run`.
+# closure `plan(env) -> bool`.  The shape fixes every choice the order of
+# evaluation makes apart from values; the plan reads values from `env`.
 
 
 class _Shape(NamedTuple):
@@ -525,19 +535,6 @@ class _Shape(NamedTuple):
 
     def bind(self, var: str) -> _Shape:
         return self._replace(bound=self.bound | {var})
-
-
-class _Run:
-    __slots__ = ("binding", "state", "empty", "one", "contains", "elements",
-                 "objects", "tables", "rels")
-
-    def __init__(self, state, binding, tables, objects, rels):
-        u = state.universe
-        self.binding, self.state, self.objects = binding, state, objects
-        self.empty, self.one = u.empty, u.one
-        self.contains, self.elements = u.contains, u.elements
-        self.tables = state.tables if tables is None else tables
-        self.rels = rels
 
 
 def _plan(phi: Formula, shape: _Shape):
@@ -570,23 +567,23 @@ class _Deferred:
         return self.plan
 
 
-def _false(run):
+def _false(env):
     return False
 
 
-def _table(run, name: str) -> dict:
-    tbl = run.tables.get(name)
+def _table(env, name: str) -> dict:
+    tbl = env.tables.get(name)
     if tbl is None:
         raise FormulaError(f"no table for relation {name!r}")
     return tbl
 
 
-# the constants a plan reads from the run, not through `eval_term`
+# the constants a plan reads from its `Env`, not through `eval_term`
 _CONSTANTS = {"true": "one", "false": "empty", "emptyset": "empty"}
 
 
 def _constant(t: Term):
-    """The `_Run` attribute holding t's value, if t is a constant."""
+    """The `Env` attribute holding t's value, if t is a constant."""
     return _CONSTANTS.get(t.name) if isinstance(t, Apply) else None
 
 
@@ -602,10 +599,10 @@ def _term(t: Term, bound: frozenset):
     other term goes through `eval_term`."""
     if _bound_names((t,), bound):
         name = t.name
-        return lambda run: run.binding[name]
+        return lambda env: env.binding[name]
     if attr := _constant(t):
         return attrgetter(attr)
-    return lambda run: eval_term(run.state, t, run.binding)
+    return lambda env: eval_term(env.term_state, t, env.binding)
 
 
 def _terms(terms: tuple[Term, ...], bound: frozenset):
@@ -614,23 +611,23 @@ def _terms(terms: tuple[Term, ...], bound: frozenset):
     names = _bound_names(terms, bound)
     if names and len(names) == 1:
         (name,) = names
-        return lambda run: (run.binding[name],)
+        return lambda env: (env.binding[name],)
     if names:
         get = itemgetter(*names)
-        return lambda run: get(run.binding)
+        return lambda env: get(env.binding)
     plans = [_term(t, bound) for t in terms]
-    return lambda run: tuple([t(run) for t in plans])
+    return lambda env: tuple([t(env) for t in plans])
 
 
 def _compile(phi: Formula, shape: _Shape):
     bound = shape.bound
     if isinstance(phi, TrueF):
-        return lambda run: True
+        return lambda env: True
     if isinstance(phi, FalseF):
         return _false
     if isinstance(phi, Not):
         body = _plan(phi.body, shape)
-        return lambda run: not body(run)
+        return lambda env: not body(env)
     if isinstance(phi, And):
         return _all(phi.parts, shape)
     if isinstance(phi, Or):
@@ -639,29 +636,29 @@ def _compile(phi: Formula, shape: _Shape):
         for var, other in ((phi.left, phi.right), (phi.right, phi.left)):
             if _bound_names((var,), bound) and (attr := _constant(other)):
                 name, const = var.name, attrgetter(attr)
-                return lambda run: run.binding[name] == const(run)
+                return lambda env: env.binding[name] == const(env)
         left, right = _term(phi.left, bound), _term(phi.right, bound)
-        return lambda run: left(run) == right(run)
+        return lambda env: left(env) == right(env)
     if isinstance(phi, Member):
         elem, container = _term(phi.elem, bound), _term(phi.container, bound)
-        return lambda run: run.contains(container(run), elem(run))
+        return lambda env: env.contains(container(env), elem(env))
     if isinstance(phi, DynEq):
         name, value, args = phi.name, _term(phi.value, bound), _terms(phi.args, bound)
-        return lambda run: _table(run, name).get(args(run), run.empty) == value(run)
+        return lambda env: _table(env, name).get(args(env), env.empty) == value(env)
     if isinstance(phi, ResAtom):
         name, names = phi.name, _bound_names(phi.args, bound)
         if name not in shape.rels:
-            def outside(run):
+            def outside(env):
                 raise FormulaError(f"row atom of {name!r} outside a fixed-point operator over it")
             return outside
         if names and len(names) == 1:
             (x,) = names
-            return lambda run: (run.binding[x],) in run.rels[name]
+            return lambda env: (env.binding[x],) in env.pfp_rels[name]
         if names:
             get = itemgetter(*names)
-            return lambda run: get(run.binding) in run.rels[name]
+            return lambda env: get(env.binding) in env.pfp_rels[name]
         args = _terms(phi.args, bound)
-        return lambda run: args(run) in run.rels[name]
+        return lambda env: args(env) in env.pfp_rels[name]
     if isinstance(phi, Exists):
         return _exists(phi.var, phi.body, shape)
     if isinstance(phi, PFPOp):
@@ -674,18 +671,18 @@ def _all(parts: tuple[Formula, ...], shape: _Shape):
         return _plan(parts[0], shape)
     plans = [_Deferred(_plan, p, shape) for p in parts]
 
-    def conj(run):
+    def conj(env):
         for p in plans:
-            if not (p.plan or p.get())(run):
+            if not (p.plan or p.get())(env):
                 return False
         return True
     return conj
 
 
 def _any(plans: list[_Deferred]):
-    def disj(run):
+    def disj(env):
         for p in plans:
-            if (p.plan or p.get())(run):
+            if (p.plan or p.get())(env):
                 return True
         return False
     return disj
@@ -701,12 +698,12 @@ def _exists(var: str, body: Formula, shape: _Shape):
         # hide the outer value while it runs, so no guard or term reads it
         plan = _exists(var, body, shape._replace(bound=shape.bound - {var}))
 
-        def shadowed(run):
-            outer = run.binding.pop(var)
+        def shadowed(env):
+            outer = env.binding.pop(var)
             try:
-                return plan(run)
+                return plan(env)
             finally:
-                run.binding[var] = outer
+                env.binding[var] = outer
         return shadowed
     conjuncts = list(_conjuncts(body))
     fvs = [formula_vars(c) for c in conjuncts]
@@ -771,12 +768,12 @@ def _block(queue: tuple[str, ...], conjuncts: tuple[Formula, ...], shape: _Shape
             return _unguarded(queue, conjuncts, shape)
         fallback = _Deferred(_unguarded, queue, conjuncts, shape)
 
-    def block(run):
+    def block(env):
         for v, guard, sub in attempts:
-            candidates = guard(run)
+            candidates = guard(env)
             if candidates is not None:
-                return _any_binding(run, v, candidates, sub.plan or sub.get())
-        return (fallback.plan or fallback.get())(run)
+                return _any_binding(env, v, candidates, sub.plan or sub.get())
+        return (fallback.plan or fallback.get())(env)
     return block
 
 
@@ -791,9 +788,9 @@ def _row_probe(var: str, container: Term, rest, inner, shape: _Shape):
         return None
     source, name = container.name, row.name
 
-    def row_probe(run):
-        rel = run.rels[name]
-        for cand in run.elements(run.binding[source]):
+    def row_probe(env):
+        rel = env.pfp_rels[name]
+        for cand in env.elements(env.binding[source]):
             if (cand,) in rel:
                 return True
         return False
@@ -802,28 +799,15 @@ def _row_probe(var: str, container: Term, rest, inner, shape: _Shape):
 
 def _member_block(var: str, container, sub: _Deferred, fallback: _Deferred):
     """The block plan when its first attempt is the certain guard "var in
-    container": var ranges over the container's elements, bound in place
-    as `_any_binding` binds it, and a container that fails to evaluate
-    passes the block to the fallback, as a guard yielding None does."""
-    def member_block(run):
+    container": var ranges over the container's elements, bound by
+    `_any_binding`, and a container that fails to evaluate passes the
+    block to the fallback, as a guard yielding None does."""
+    def member_block(env):
         try:
-            src = container(run)
+            src = container(env)
         except MachineError:
-            return (fallback.plan or fallback.get())(run)
-        plan = sub.plan or sub.get()
-        binding = run.binding
-        saved = binding.get(var, _MISSING)
-        try:
-            for cand in run.elements(src):
-                binding[var] = cand
-                if plan(run):
-                    return True
-            return False
-        finally:
-            if saved is _MISSING:
-                binding.pop(var, None)
-            else:
-                binding[var] = saved
+            return (fallback.plan or fallback.get())(env)
+        return _any_binding(env, var, env.elements(src), sub.plan or sub.get())
     return member_block
 
 
@@ -837,24 +821,24 @@ def _unguarded(queue, conjuncts, shape):
     sub = _Deferred(_block, queue[1:], conjuncts, shape.bind(v))
     message = f"existential over {v!r} has no guard and no object universe"
 
-    def enumerate_objects(run):
-        if run.objects is None:
+    def enumerate_objects(env):
+        if env.objects is None:
             raise FormulaError(message)
-        return _any_binding(run, v, run.objects, sub.plan or sub.get())
+        return _any_binding(env, v, env.objects, sub.plan or sub.get())
     return enumerate_objects
 
 
 _MISSING = object()
 
 
-def _any_binding(run, var: str, candidates, plan) -> bool:
+def _any_binding(env, var: str, candidates, plan) -> bool:
     """Whether plan holds with var bound to some candidate, in order."""
-    binding = run.binding
+    binding = env.binding
     saved = binding.get(var, _MISSING)
     try:
         for cand in candidates:
             binding[var] = cand
-            if plan(run):
+            if plan(env):
                 return True
         return False
     finally:
@@ -906,30 +890,47 @@ def _guards(var: str, conjuncts: tuple[Formula, ...], shape: _Shape):
 
 
 def _guard(terms, values):
-    def guard(run):
+    def guard(env):
         try:
-            vals = [t(run) for t in terms]
+            vals = [t(env) for t in terms]
         except MachineError:
             return None
-        return values(run, *vals)
+        return values(env, *vals)
     return guard
 
 
-def _elements(run, src):
-    return run.elements(src)
+def _elements(env, src):
+    return env.elements(src)
 
 
-def _single(run, val):
+def _single(env, val):
     return (val,)
 
 
-def _lookup(name, run, *args):
-    tbl = run.tables.get(name)
-    return None if tbl is None else (tbl.get(args, run.empty),)
+def _lookup(name, env, *args):
+    tbl = env.tables.get(name)
+    return None if tbl is None else (tbl.get(args, env.empty),)
 
 
-def _rows(name, pos, fixed, run, *vals):
-    return [row[pos] for row in run.rels[name] if all(row[i] == x for i, x in zip(fixed, vals))]
+def _rows(name, pos, fixed, env, *vals):
+    return [row[pos] for row in env.pfp_rels[name] if all(row[i] == x for i, x in zip(fixed, vals))]
+
+
+def _stages(first, advance, key, cap=None):
+    """(status, stages): first and the stages `advance` makes from it, up
+    to a stage equal to the one before it ("fixed"), one whose key an
+    earlier stage has ("cycled"), or cap stages after the first
+    ("stage-cap").  The cap is tested before each advance, so a repeat
+    at the cap still reports as the repeat."""
+    stages, seen = [first], {key(first)}
+    while cap is None or len(stages) <= cap:
+        stages.append(advance(stages[-1]))
+        if stages[-1] == stages[-2]:
+            return "fixed", stages
+        if (k := key(stages[-1])) in seen:
+            return "cycled", stages
+        seen.add(k)
+    return "stage-cap", stages
 
 
 def _pfp_op(phi: PFPOp, shape: _Shape):
@@ -937,42 +938,36 @@ def _pfp_op(phi: PFPOp, shape: _Shape):
     body = _plan(phi.body, _Shape(shape.bound | set(names), shape.rels | {rel}))
     args = _terms(phi.args, shape.bound)
 
-    def pfp(run):
-        if run.objects is None:
+    def pfp(env):
+        if env.objects is None:
             raise FormulaError("a fixed-point operator needs an object universe")
-        rels = dict(run.rels or {})
-        sub = _Run(run.state, dict(run.binding), run.tables, run.objects, rels)
-        current: frozenset = frozenset()
-        seen = {current}
-        while True:
+        rels = dict(env.pfp_rels or {})
+        sub = Env(env.term_state, dict(env.binding), env.tables, env.objects, rels)
+
+        def advance(current):
             rels[rel] = current
-            new = frozenset(_satisfying(body, sub, names))
-            if new == current:
-                break
-            if new in seen:
-                new = frozenset()  # no fixed point: the empty relation
-                break
-            seen.add(new)
-            current = new
-        return args(run) in new
+            return frozenset(_satisfying(body, sub, names))
+        status, stages = _stages(frozenset(), advance, frozenset)
+        # with no fixed point, the operator denotes the empty relation
+        return args(env) in stages[-1] and status == "fixed"
     return pfp
 
 
-def _satisfying(plan, run: _Run, names: tuple[str, ...]):
-    """Each tuple over run.objects, in product order, for which plan holds
-    with names bound to it in run.binding.  All names but the last are
+def _satisfying(plan, env: Env, names: tuple[str, ...]):
+    """Each tuple over env.objects, in product order, for which plan holds
+    with names bound to it in env.binding.  All names but the last are
     bound once per prefix, and the last once per object."""
     if not names:
-        if plan(run):
+        if plan(env):
             yield ()
         return
-    binding, objects = run.binding, run.objects
+    binding, objects = env.binding, env.objects
     *outer, last = names
     for head in itertools.product(objects, repeat=len(outer)):
         binding.update(zip(outer, head))
         for obj in objects:
             binding[last] = obj
-            if plan(run):
+            if plan(env):
                 yield (*head, obj)
 
 
@@ -1030,33 +1025,25 @@ def iterate_stages(
     sig = program.signature
     term_state = State(universe, inp, sig, {n: {} for n in sig.dynamic_names()})
     objects = sorted(objects)
-    tables: dict[str, dict] = {n: {} for n in sig.dynamic_names()}
     bodies = [(sb, _plan(sb.formula, _Shape(frozenset(sb.arg_vars + (sb.val_var,)), frozenset())))
               for sb in stage_bodies(program)]
-    stages = [tables]
-    seen = {tables_key(tables)}
-    while len(stages) <= max_stages:
+
+    def advance(tables):
         new: dict[str, dict] = {}
         for sb, plan in bodies:
             tbl: dict = {}
-            run = _Run(term_state, {}, tables, objects, None)
-            for row in _satisfying(plan, run, sb.arg_vars + (sb.val_var,)):
+            env = Env(term_state, {}, tables, objects)
+            for row in _satisfying(plan, env, sb.arg_vars + (sb.val_var,)):
                 args, y = row[:-1], row[-1]
                 if args in tbl:
                     raise FormulaError(
                         f"stage body for {sb.name!r} related one location to two values")
                 tbl[args] = y
             new[sb.name] = tbl
-        stages.append(new)
-        if new == tables:
-            return StageResult("fixed", stages, new)
-        key = tables_key(new)
-        if key in seen:
-            empty = {n: {} for n in sig.dynamic_names()}
-            return StageResult("cycled", stages, empty)
-        seen.add(key)
-        tables = new
-    return StageResult("stage-cap", stages, {n: {} for n in sig.dynamic_names()})
+        return new
+    status, stages = _stages({n: {} for n in sig.dynamic_names()}, advance, tables_key, max_stages)
+    tables = stages[-1] if status == "fixed" else {n: {} for n in sig.dynamic_names()}
+    return StageResult(status, stages, tables)
 
 
 def decide(

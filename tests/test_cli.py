@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -595,6 +596,20 @@ class TestPlumbing:
                 for name in names:
                     top = name.split(".")[0]
                     assert top in sys.stdlib_module_names or top == "cpspace", (path.name, name)
+
+    def test_every_module_stays_within_8192_parser_tokens(self):
+        # CPython 3.11's parser keeps a module's tokens in an array that
+        # doubles, so a module past 8,192 tokens compiles at a higher peak
+        # in every run that writes no bytecode
+        uncounted = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+        modules = sorted(PACKAGE.rglob("*.py"))
+        assert modules
+        for path in modules:
+            with path.open("rb") as f:
+                count = sum(tok.type not in uncounted for tok in tokenize.tokenize(f.readline))
+            assert count <= 8192, (
+                f"{path.name} has {count} parser tokens, past 8,192: see the "
+                "'Import-time compile peaks' note in ROADMAP.md")
 
     def test_every_module_level_name_is_used(self):
         # delete helpers nothing uses: each function, class and constant a

@@ -350,6 +350,32 @@ class TestStageIteration:
         # the domain of the truncated run still gives its stages up to the cut
         assert lockstep_prefix(result, trace) == (True, 5)
 
+    @pytest.mark.parametrize("name, max_stages, status, count", [
+        ("clash", 10_000, "fixed", 2),
+        ("grow", 10_000, "cycled", 3),
+        ("halt_accept", 10_000, "fixed", 3),
+        ("halt_reject", 10_000, "fixed", 3),
+        ("mark_all", 10_000, "fixed", 3),
+        ("pairs", 10_000, "fixed", 3),
+        ("toggle", 10_000, "cycled", 3),
+        # deep neither settles nor repeats, and at the default cap its
+        # induction takes minutes
+        ("deep", 10, "stage-cap", 11),
+    ])
+    def test_status_and_stage_count_of_each_fixture(self, name, max_stages, status, count):
+        machine = load_machine(FIXTURES / f"{name}.machine")
+        _, result, _ = decide(machine, make_input(3), max_stages)
+        assert (result.status, len(result.stages)) == (status, count)
+
+    def test_a_repeat_at_the_stage_cap_reports_as_the_repeat(self):
+        # toggle over 2 atoms repeats stage 0 as stage 2: a cap of 1 stops
+        # the stages before it, and a cap of 2 still sees the repeat
+        machine = load_machine(FIXTURES / "toggle.machine")
+        _, result, _ = decide(machine, make_input(2), max_stages=1)
+        assert (result.status, len(result.stages)) == ("stage-cap", 2)
+        _, result, _ = decide(machine, make_input(2), max_stages=2)
+        assert (result.status, len(result.stages)) == ("cycled", 3)
+
     def test_mark_all_matches_final_state(self):
         machine = load_machine(FIXTURES / "mark_all.machine")
         inp = parse_input((FIXTURES / "edges.input").read_text(encoding="utf-8"))
@@ -399,6 +425,36 @@ class TestFixedPointOperator:
         body = mk_not(ResAtom("D", (Variable("x"),)))  # alternates, never fixes
         phi = PFPOp("D", ("x",), body, (Apply("emptyset"),))
         assert not eval_formula(phi, Env(state, {}, tables={}, objects=[u.empty, u.one]))
+
+
+    def test_a_late_cycle_is_empty_and_a_late_fixed_point_is_the_last_stage(self):
+        # D is a pointer that starts at a and moves on to b, then to c.
+        # Sent from c back to b, its stages are {}, {a}, {b}, {c}, {b}: a
+        # cycle of period 2 after two stages, so no probe is in the
+        # relation.  Kept at c, they are {}, {a}, {b}, {c}, {c}: a fixed
+        # point that holds of c alone.
+        state = initial_state(prog("skip"), make_input(2))
+        u = state.universe
+        a, b, c = u.empty, u.one, u.mk_set([u.one])
+        objs = [a, b, c, u.atom(0)]
+
+        def at(name):
+            return TermEq(Variable("x"), Variable(name))
+
+        def held(name):
+            return ResAtom("D", (Variable(name),))
+        start = mk_and([at("a"), mk_not(mk_exists("y", held("y")))])
+        cycling = mk_or([start, mk_and([at("b"), mk_or([held("a"), held("c")])]),
+                         mk_and([at("c"), held("b")])])
+        settling = mk_or([start, mk_and([at("b"), held("a")]),
+                          mk_and([at("c"), mk_or([held("b"), held("c")])])])
+        for body, holds_of in ((cycling, set()), (settling, {c})):
+            for probe in objs:
+                binding = {"a": a, "b": b, "c": c, "p": probe}
+                phi = PFPOp("D", ("x",), body, (Variable("p"),))
+                got = eval_formula(phi, Env(state, dict(binding), tables={}, objects=objs))
+                assert got == (probe in holds_of)
+                assert got == tarski.holds(phi, state, binding, objs, {})
 
 
 class TestGoldenExtraction:
@@ -801,3 +857,32 @@ class TestPlans:
             assert [r for r in refs if r() is not None] == []
         finally:
             gc.enable()
+
+
+class TestEnv:
+    def test_each_env_without_a_binding_gets_its_own(self):
+        state = initial_state(prog("skip"), make_input(2))
+        first, second = Env(state), Env(state)
+        first.binding["x"] = state.universe.one
+        assert second.binding == {}
+
+    def test_tables_are_the_states_unless_given(self):
+        program = prog("skip", header="signature:\n  dynamic c/0\n")
+        state = initial_state(program, make_input(2))
+        u = state.universe
+        state.tables["c"][()] = u.one
+        dyn = DynEq("c", (), Variable("y"))
+        assert Env(state).tables is state.tables
+        assert eval_formula(dyn, Env(state, {"y": u.one}))
+        given = Env(state, {"y": u.one}, tables={}, objects=[u.empty, u.one])
+        assert given.tables == {}
+        with pytest.raises(FormulaError, match="no table for relation 'c'"):
+            eval_formula(dyn, given)
+
+    def test_pfp_rels_reach_row_atoms(self):
+        state = initial_state(prog("skip"), make_input(2))
+        u = state.universe
+        row = ResAtom("R", (Variable("y"),))
+        rels = {"R": {(u.one,)}}
+        assert eval_formula(row, Env(state, {"y": u.one}, pfp_rels=rels))
+        assert not eval_formula(row, Env(state, {"y": u.empty}, pfp_rels=rels))
